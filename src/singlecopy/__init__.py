@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .errors import (
     CoefficientAccuracyError,
     DecompositionError,
-    DegenerateDispersionError,
     DegenerateGroundStateError,
     InvalidSpectrumError,
     ModelError,
@@ -29,7 +28,6 @@ from .toeplitz import (
     build_T,
     build_gamma,
     coefficient_table,
-    fourier_coefficient,
     spectrum_from_singular_values,
 )
 from .entangle import (

@@ -9,8 +9,7 @@ behind the 1/6 scaling coefficient by adaptive quadrature.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.integrate import quad
@@ -21,8 +20,6 @@ from .model import ModelSpec, classify_criticality
 from .toeplitz import LN2, BlockSpectrum, block_spectrum, build_T, coefficient_table
 
 MAX_SCAN_L = 4096
-
-SCAN_FIELDS = ("e1_cont_bits", "E1_bits", "entropy_bits", "ln_absdet_T", "rms_term_bits")
 
 
 def geometric_grid(L_min: int, L_max: int, per_octave: int = 2) -> tuple[int, ...]:
@@ -50,6 +47,10 @@ class ScanRow:
     error: str | None = None
 
 
+#: Per-L quantities of a scan row, in schema order (JSON keys, CSV columns).
+SCAN_FIELDS = tuple(f.name for f in fields(ScanRow) if f.name not in ("L", "error"))
+
+
 @dataclass(frozen=True)
 class ScanSeries:
     """Per-L entanglement quantities of one model over a block-length grid."""
@@ -72,7 +73,7 @@ def _row_from_spectrum(spec: BlockSpectrum) -> ScanRow:
     )
 
 
-def scan(model: ModelSpec, grid, abs_tol: float = 1e-12, threads: int = 1,
+def scan(model: ModelSpec, grid, abs_tol: float = 1e-12,
          keep_spectra: bool = False, progress=None) -> ScanSeries:
     """One spectrum per grid point, coefficients shared across the scan.
 
@@ -95,12 +96,7 @@ def scan(model: ModelSpec, grid, abs_tol: float = 1e-12, threads: int = 1,
             progress(f"L={L} done" if row.error is None else f"L={L} failed: {row.error}")
         return row, spec
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, grid))
-    else:
-        results = [job(L) for L in grid]
-
+    results = [job(L) for L in grid]
     rows = tuple(r for r, _ in results)
     spectra = tuple(s for _, s in results if s is not None) if keep_spectra else None
     return ScanSeries(model=model, grid=grid, rows=rows, spectra=spectra)

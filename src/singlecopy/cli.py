@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .asymptotics import fh_slope, fit_log, geometric_grid, integral_check, scan
+from .asymptotics import SCAN_FIELDS, fh_slope, fit_log, geometric_grid, integral_check, scan
 from .entangle import nielsen_transformable, probabilistic_Ep, report, single_copy_E1
 from .errors import ToolkitError
 from .model import build_model
@@ -60,7 +60,6 @@ def _add_model_flags(p):
 #: defaults applied only after a --config file had its chance to set the flag
 _FALLBACKS = {
     "tol": 1e-12,
-    "threads": 1,
     "format": "json",
     "ep_dims": 256,
     "L_min": 64,
@@ -73,7 +72,6 @@ _FALLBACKS = {
 
 def _add_common_flags(p):
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument("--format", choices=("json", "csv"), default=None)
     p.add_argument("--config", default=None, metavar="PATH",
@@ -106,9 +104,7 @@ def build_parser() -> _Parser:
     p.add_argument("--L-min", type=int, default=None)
     p.add_argument("--L-max", type=int, default=None)
     p.add_argument("--per-octave", type=int, default=None)
-    p.add_argument("--quantity", default=None,
-                   choices=("e1_cont_bits", "E1_bits", "entropy_bits",
-                            "ln_absdet_T", "rms_term_bits", "neg_ln_absdet_T"))
+    p.add_argument("--quantity", default=None, choices=SCAN_FIELDS + ("neg_ln_absdet_T",))
     p.add_argument("--two-term", action="store_true")
 
     p = subs.add_parser("oracle", help="cross-validate Gaussian vs exact methods")
@@ -202,7 +198,7 @@ def _cmd_analyze(args):
 def _cmd_scan(args):
     model = _model_from_args(args)
     grid = _grid_from_args(args)
-    series = scan(model, grid, abs_tol=args.tol, threads=args.threads,
+    series = scan(model, grid, abs_tol=args.tol,
                   progress=lambda msg: print(msg, file=sys.stderr))
     emit(series, args.format, args.out)
     return EXIT_OK
@@ -214,7 +210,7 @@ def _cmd_fit(args):
     if args.quantity == "neg_ln_absdet_T":
         fit = fh_slope(model, grid, abs_tol=args.tol)
     else:
-        series = scan(model, grid, abs_tol=args.tol, threads=args.threads,
+        series = scan(model, grid, abs_tol=args.tol,
                       progress=lambda msg: print(msg, file=sys.stderr))
         fit = fit_log(series, args.quantity, two_term=args.two_term)
     emit(fit_to_dict(fit), args.format, args.out)

@@ -17,10 +17,6 @@ class SymbolSingularError(ToolkitError):
         self.k = k
 
 
-class DegenerateDispersionError(ToolkitError):
-    """Dispersion vanishes on a whole interval; the symbol is undefined."""
-
-
 class CoefficientAccuracyError(ToolkitError):
     """Fourier-coefficient quadrature missed its tolerance within budget."""
 

@@ -8,8 +8,9 @@ A chain is specified by symmetric couplings ``A_0 .. A_w`` (with
 
 defines the unimodular symbol ``g(k) = lam(k) / |lam(k)|``.  Zeros of the
 dispersion make ``g`` jump; the chain is classified as critical exactly
-when such jumps exist (Fermi points).  Tangential zeros, where the
-one-sided limits of ``g`` coincide, are reported as marginal instead.
+when such jumps exist (Fermi points).  Tangential zeros (even
+multiplicity), where the one-sided limits of ``g`` coincide, are reported
+as marginal instead.
 """
 
 from __future__ import annotations
@@ -19,18 +20,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .errors import DegenerateDispersionError, ModelError, SymbolSingularError
+from .errors import ModelError, SymbolSingularError
 
 TWO_PI = 2.0 * math.pi
 
 #: Threshold below which the symbol is treated as singular (undefined).
 SINGULAR_FLOOR = 1e-300
 
-_ZERO_REL = 1e-8       # refined |lam| below this (times scale) counts as a zero
-_JUMP_TOL = 1e-6       # one-sided limits closer than this mean "no jump"
-_LIMIT_DELTA = 1e-4    # offset used for one-sided limits (Richardson refined)
+_ZERO_REL = 1e-8       # polished |lam| below this (times scale) counts as a zero
+_CIRCLE_TOL = 1e-6     # max distance of a zero's root cluster from |z| = 1
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,8 @@ class Jump:
 
     ``jump_exponent`` is the principal exponent beta with
     ``exp(2 pi i beta) = left_limit / right_limit`` and
-    ``Re(beta) in (-1/2, 1/2]``.
+    ``Re(beta) in (-1/2, 1/2]``.  A dispersion zero of odd multiplicity
+    flips the symbol, ``left_limit = -right_limit``, so beta is 1/2.
     """
 
     k: float
@@ -157,24 +157,44 @@ def build_model(kind: str = "custom", *, a=None, gamma=None, A=None, B=None) -> 
     raise ModelError(f"unknown model kind {kind!r}")
 
 
+def _laurent(model: ModelSpec) -> np.ndarray:
+    """Coefficients ``c_{-w} .. c_w`` of ``lam = sum_j c_j z^j`` on ``z = e^{ik}``.
+
+    ``c_{+-j} = A_j -+ 2 B_j``, so ``z^w lam(z)`` is a real polynomial of
+    degree at most ``2w`` whose ascending coefficients are this array.
+    """
+    A = np.asarray(model.A)
+    B = np.asarray((0.0,) + model.B)
+    return np.concatenate([(A + 2.0 * B)[:0:-1], A - 2.0 * B])
+
+
+def _lam_derivative(model: ModelSpec, k, m: int):
+    """``d^m lam / dk^m``, term by term.
+
+    Each Laurent pair ``c_j e^{ijk} + c_{-j} e^{-ijk}`` of :func:`_laurent`
+    is written in the couplings, ``2 A_j cos(jk) - 4i B_j sin(jk)``, which
+    skips the rounding of ``c_{+-j} = A_j -+ 2 B_j`` and keeps an isotropic
+    ``lam`` exactly real.
+    """
+    karr = np.asarray(k, dtype=float)
+    out = np.full(karr.shape, model.A[0] if m == 0 else 0.0, dtype=complex)
+    for j in range(1, model.w + 1):
+        rot = (1j * j) ** m
+        sym, anti = 2.0 * model.A[j], -4.0 * model.B[j - 1]
+        cos_c, sin_c = (sym, anti) if m % 2 == 0 else (anti, sym)
+        out += rot * cos_c * np.cos(j * karr)
+        out += rot * 1j * sin_c * np.sin(j * karr)
+    return complex(out) if karr.ndim == 0 else out
+
+
 def dispersion(model: ModelSpec, k):
     """Evaluate ``lam(k)``; accepts scalars or arrays, returns complex."""
-    karr = np.asarray(k, dtype=float)
-    out = np.full(karr.shape, complex(model.A[0]), dtype=complex)
-    for j in range(1, model.w + 1):
-        out += 2.0 * model.A[j] * np.cos(j * karr)
-        out -= 4.0j * model.B[j - 1] * np.sin(j * karr)
-    return complex(out) if karr.ndim == 0 else out
+    return _lam_derivative(model, k, 0)
 
 
 def dispersion_derivative(model: ModelSpec, k):
     """d lam / dk, same broadcasting as :func:`dispersion`."""
-    karr = np.asarray(k, dtype=float)
-    out = np.zeros(karr.shape, dtype=complex)
-    for j in range(1, model.w + 1):
-        out -= 2.0 * j * model.A[j] * np.sin(j * karr)
-        out -= 4.0j * j * model.B[j - 1] * np.cos(j * karr)
-    return complex(out) if karr.ndim == 0 else out
+    return _lam_derivative(model, k, 1)
 
 
 def symbol_eval(model: ModelSpec, k):
@@ -194,37 +214,12 @@ def symbol_eval(model: ModelSpec, k):
     return lam / mag
 
 
-def _bisect_sign_change(model, lo, hi, tol):
-    """Bisection of the (real) isotropic dispersion to width ``tol``."""
-    flo = dispersion(model, lo).real
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = dispersion(model, mid).real
-        if fm == 0.0:
-            return mid
-        if (flo < 0.0) != (fm < 0.0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _refine_minimum(model, lo, hi, tol):
-    """Locate the minimum of |lam| inside (lo, hi) to angle tolerance ``tol``."""
-    res = minimize_scalar(
-        lambda k: abs(dispersion(model, k % TWO_PI)) ** 2,
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": tol},
-    )
-    return float(res.x)
-
-
 def _polish_zero(model, k0):
     """Newton-polish a transversal dispersion zero to machine precision.
 
     Iterates on the projection of lam along its local direction; keeps the
-    input angle when no improvement is possible (tangential zeros).
+    input angle when no improvement is possible, or when a step would move
+    it by more than 1e-6 (flat ``lam`` next to another zero).
     """
     best = k0
     best_mag = abs(dispersion(model, k0))
@@ -236,90 +231,88 @@ def _polish_zero(model, k0):
         if denom < 1e-30:
             break
         step = (dlam.conjugate() * lam).real / denom
+        if abs(step) > _CIRCLE_TOL:
+            break
         k -= step
         mag = abs(dispersion(model, k))
         if mag < best_mag:
             best, best_mag = k, mag
         if abs(step) < 1e-15:
             break
-    return best % TWO_PI
+    return best
 
 
-def _one_sided_limits(model, k0):
-    """Richardson-extrapolated limits of g at ``k0`` from the left and right."""
+def _root_clusters(p: np.ndarray):
+    """Group the roots of the polynomial ``p`` into ``(centre, multiplicity)``.
 
-    def lim(side):
-        g1 = symbol_eval(model, (k0 + side * _LIMIT_DELTA) % TWO_PI)
-        g2 = symbol_eval(model, (k0 + side * _LIMIT_DELTA / 2.0) % TWO_PI)
-        g = 2.0 * g2 - g1
-        return g / abs(g)
+    Rounding splits an m-fold root into m roots about ``eps^(1/m)`` apart,
+    while the root of ``p^(m-1)`` near their mean stays accurate.  Starting
+    from the first ungrouped root, its m nearest ungrouped roots form one
+    m-fold root when they are also the m roots nearest that centre (one
+    Newton step on ``p^(m-1)`` from their mean), and the Taylor terms of
+    ``p`` of order below m vanish there to the rounding bound of Horner's
+    rule (``2 deg eps`` times the same terms of ``|p|``); the largest such m
+    wins.  Zeros whose separating values of ``p`` stay below that bound
+    cannot be told apart and merge.
+    """
+    roots = np.roots(p)
+    abs_p = np.abs(p)
+    tol = 2 * (p.size - 1) * np.finfo(float).eps
+    clusters = []
+    left = np.arange(roots.size)
+    while left.size:
+        order = left[np.argsort(np.abs(roots[left] - roots[left[0]]))]
+        for m in range(left.size, 0, -1):
+            centre = roots[order[:m]].mean()
+            if m == 1:
+                break
+            d = np.polyder(p, m - 1)
+            slope = np.polyval(np.polyder(d), centre)
+            if slope == 0:
+                continue
+            centre -= np.polyval(d, centre) / slope
+            nearest = np.argsort(np.abs(roots - centre))[:m]
+            if set(nearest) == set(order[:m]) and all(
+                    abs(np.polyval(np.polyder(p, j), centre))
+                    <= tol * np.polyval(np.polyder(abs_p, j), abs(centre)) for j in range(m)):
+                break
+        clusters.append((complex(centre), m))
+        left = order[m:]
+    return clusters
 
-    return lim(-1.0), lim(+1.0)
 
-
-def _principal_exponent(left: complex, right: complex) -> complex:
-    beta = cmath.phase(left / right) / TWO_PI
-    if beta <= -0.5 + 1e-9:
-        beta += 1.0
-    return complex(beta)
-
-
-def classify_criticality(model: ModelSpec, root_tol: float = 1e-10, samples: int = 4096) -> SymbolProfile:
+def classify_criticality(model: ModelSpec) -> SymbolProfile:
     """Locate all dispersion zeros on [0, 2pi) and classify the model.
 
-    Scans ``samples`` uniform angles (at least 4096), refines every local
-    minimum of ``|lam|`` (sign-change bisection for isotropic models, bounded
-    minimization otherwise) down to ``root_tol``, and keeps refined minima
-    with ``|lam|`` below 1e-8 of the dispersion scale as zeros.  Zeros where
-    the one-sided limits of the symbol differ become jumps (Fermi points);
-    tangential zeros with equal limits are reported as marginal.  The model
-    is critical exactly when the jump list is nonempty.
+    The zeros are the unit-circle roots of ``z^w lam(z)``, grouped into
+    multiple roots by :func:`_root_clusters`.  A group whose centre lies
+    within 1e-6 of ``|z| = 1`` gives a zero at the centre's angle
+    (Newton-polished for a simple root), kept when ``|lam|`` there falls
+    below 1e-8 of the coefficient scale.  A zero of odd multiplicity m
+    flips the sign of the leading Taylor term ``d^m lam / dk^m``, so the
+    symbol changes sign there (a Fermi point, ``beta = 1/2``); a zero of
+    even multiplicity is tangential and reported as marginal.  The model is
+    critical exactly when the jump list is nonempty.
     """
-    if root_tol <= 0.0:
-        raise ModelError("root_tol must be positive")
-    samples = max(int(samples), 4096)
-    ks = np.linspace(0.0, TWO_PI, samples, endpoint=False)
-    lam = dispersion(model, ks)
-    mag = np.abs(lam)
-    scale = float(mag.max())
-    if scale == 0.0 or np.mean(mag < 1e-13 * scale) > 0.1:
-        raise DegenerateDispersionError("dispersion vanishes on an interval")
-
-    isotropic = model.isotropic
-    sgn = np.sign(lam.real) if isotropic else None
-    h = TWO_PI / samples
-
-    candidates = []
-    for i in range(samples):
-        prev_i = (i - 1) % samples
-        next_i = (i + 1) % samples
-        if not (mag[i] <= mag[prev_i] and mag[i] < mag[next_i]):
-            continue
-        lo = ks[i] - h
-        hi = ks[i] + h
-        if isotropic and sgn[prev_i] != 0 and sgn[next_i] != 0 and sgn[prev_i] != sgn[next_i]:
-            k0 = _bisect_sign_change(model, lo, hi, root_tol)
-        else:
-            k0 = _refine_minimum(model, lo, hi, root_tol)
-        if abs(dispersion(model, k0 % TWO_PI)) < _ZERO_REL * scale:
-            candidates.append(_polish_zero(model, k0 % TWO_PI))
-
-    zeros: list[float] = []
-    for k0 in sorted(candidates):
-        if zeros and min(abs(k0 - z) for z in zeros) < 1e-6:
-            continue
-        if zeros and abs((k0 - TWO_PI) - zeros[0]) < 1e-6:
-            continue
-        zeros.append(k0)
-
+    c = _laurent(model)
+    scale = float(np.abs(c).sum())
     jumps: list[Jump] = []
     marginal: list[float] = []
-    for k0 in zeros:
-        left, right = _one_sided_limits(model, k0)
-        if abs(left - right) > _JUMP_TOL:
-            jumps.append(Jump(k0, left, right, _principal_exponent(left, right)))
-        else:
+    for centre, m in _root_clusters(np.trim_zeros(c[::-1], "f")):
+        if abs(abs(centre) - 1.0) >= _CIRCLE_TOL:
+            continue
+        k0 = _polish_zero(model, cmath.phase(centre)) if m == 1 else cmath.phase(centre)
+        k0 = k0 % TWO_PI % TWO_PI      # the second % maps a tiny negative angle's 2pi to 0
+        if abs(dispersion(model, k0)) >= _ZERO_REL * scale:
+            continue
+        if m % 2 == 0:
             marginal.append(k0)
+            continue
+        lead = _lam_derivative(model, k0, m)
+        right = lead / abs(lead)
+        jumps.append(Jump(k0, -right, right, complex(0.5)))
+    jumps.sort(key=lambda j: j.k)
+    marginal.sort()
 
     return SymbolProfile(
         model=model,

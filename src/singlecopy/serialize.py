@@ -13,12 +13,12 @@ import math
 import numpy as np
 
 from . import __version__
-from .asymptotics import ScalingFit, ScanRow, ScanSeries, TwoTermFit
+from .asymptotics import SCAN_FIELDS, ScalingFit, ScanRow, ScanSeries, TwoTermFit
 from .entangle import EntanglementReport, SectorWeight
 from .model import ModelSpec, build_model
 from .oracle import OracleComparison
 
-CSV_COLUMNS = ("L", "e1_cont_bits", "E1_bits", "entropy_bits", "ln_absdet_T", "rms_term_bits")
+CSV_COLUMNS = ("L",) + SCAN_FIELDS
 
 
 def _float_token(x: float) -> str:
@@ -166,17 +166,11 @@ def scan_to_dict(series: ScanSeries) -> dict:
 
 
 def scan_from_dict(d: dict) -> ScanSeries:
-    rows = []
-    for rd in d["rows"]:
-        rows.append(ScanRow(
-            L=int(rd["L"]),
-            e1_cont_bits=_parse_float(rd["e1_cont_bits"]),
-            E1_bits=_parse_float(rd["E1_bits"]),
-            entropy_bits=_parse_float(rd["entropy_bits"]),
-            ln_absdet_T=_parse_float(rd["ln_absdet_T"]),
-            rms_term_bits=_parse_float(rd["rms_term_bits"]),
-            error=rd.get("error"),
-        ))
+    rows = [
+        ScanRow(L=int(rd["L"]), **{f: _parse_float(rd[f]) for f in SCAN_FIELDS},
+                error=rd.get("error"))
+        for rd in d["rows"]
+    ]
     return ScanSeries(
         model=model_from_dict(d["model"]),
         grid=tuple(int(x) for x in d["grid"]),
@@ -250,7 +244,7 @@ def scan_to_csv(series: ScanSeries) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in series.rows:
         cells = [str(row.L)]
-        for col in CSV_COLUMNS[1:]:
+        for col in SCAN_FIELDS:
             x = getattr(row, col)
             if math.isnan(x):
                 cells.append("")

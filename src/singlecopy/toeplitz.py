@@ -45,37 +45,34 @@ class ToeplitzCoeffs:
         return float(self.t[self.L - 1 + l])
 
 
-def _closed_form(model: ModelSpec, profile: SymbolProfile):
-    """Closed-form ``t_l`` for isotropic sign symbols, or None.
+def _closed_form(model: ModelSpec, profile: SymbolProfile, L: int) -> np.ndarray:
+    """Exact ``t_0 .. t_{L-1}`` of an isotropic symbol, which is ``sign(lam)``.
 
-    Covers the constant symbol (no jumps) and the single-band case with
-    reflection-symmetric Fermi points ``{k_F, 2pi - k_F}``.
+    Between consecutive zeros ``c_i`` the symbol is a constant ``s_i = +-1``
+    (the sign of ``lam`` at the arc midpoint), so
+    ``t_0 = sum_i s_i |arc_i| / 2pi`` and
+    ``t_l = -sum_i ds_i sin(l c_i) / (2pi l)`` with ``ds_i`` the sign change
+    at ``c_i`` (zero at marginal points).  ``t_{-l} = t_l``.  Raises unless
+    the signs flip exactly at the Fermi points, which catches a zero the
+    classifier missed or mis-typed and a midpoint sign lost to rounding.
     """
-    if not model.isotropic:
-        return None
-    ks = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
-    lam = dispersion(model, ks).real
-    scale = float(np.abs(lam).max())
-    if not profile.jumps:
-        s0 = math.copysign(1.0, lam[int(np.argmax(np.abs(lam)))])
-        return lambda l: s0 if l == 0 else 0.0
-    if len(profile.jumps) == 2 and not profile.marginal_points:
-        k1, k2 = sorted(profile.fermi_points)
-        if abs((k1 + k2) - TWO_PI) > 1e-8:
-            return None
-        lam0 = dispersion(model, 0.0).real
-        if abs(lam0) < 1e-10 * scale:
-            return None
-        s0 = math.copysign(1.0, lam0)
-        k_f = k1
-
-        def t_l(l: int) -> float:
-            if l == 0:
-                return s0 * (2.0 * k_f / math.pi - 1.0)
-            return s0 * 2.0 * math.sin(k_f * l) / (math.pi * l)
-
-        return t_l
-    return None
+    zeros = sorted(profile.fermi_points + profile.marginal_points) or [0.0]
+    edges = np.array(zeros + [zeros[0] + TWO_PI])
+    lam = dispersion(model, 0.5 * (edges[:-1] + edges[1:]) % TWO_PI).real
+    signs = np.sign(lam)
+    ds = signs - np.roll(signs, 1)
+    flips = np.isin(edges[:-1], profile.fermi_points)
+    if np.any((np.abs(ds) == 2) != flips):
+        raise CoefficientAccuracyError(
+            "coefficient accuracy: symbol signs between the zeros do not flip "
+            "exactly at the Fermi points",
+            achieved=float(np.abs(lam).min() / np.abs(lam).max()),
+        )
+    l = np.arange(1, L)
+    t = np.empty(L)
+    t[0] = signs @ np.diff(edges) / TWO_PI
+    t[1:] = np.sin(np.outer(l, edges[:-1])) @ ds / (-TWO_PI * l)
+    return t
 
 
 def _panel_pair(model, l, lo, hi, n_panels):
@@ -137,7 +134,8 @@ def _fourier_pair(model, l, abs_tol, cuts):
 
 def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
                       profile: SymbolProfile | None = None) -> ToeplitzCoeffs:
-    """Tabulate ``t_l`` for ``|l| < L`` (closed form where available).
+    """Tabulate ``t_l`` for ``|l| < L``: closed form for isotropic models,
+    adaptive quadrature split at the symbol's zeros otherwise.
 
     The table for the largest block length of a scan is reused for every
     smaller block, since Toeplitz blocks nest.
@@ -148,14 +146,12 @@ def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
         raise ModelError("abs_tol must be positive")
     if profile is None:
         profile = classify_criticality(model)
-    t = np.empty(2 * L - 1)
-    closed = _closed_form(model, profile)
-    if closed is not None:
-        for l in range(L):
-            t[L - 1 + l] = closed(l)
-            t[L - 1 - l] = closed(-l)
+    if model.isotropic:
+        half = _closed_form(model, profile, L)
+        t = np.concatenate([half[:0:-1], half])
         method = "closed_form"
     else:
+        t = np.empty(2 * L - 1)
         cuts = sorted(set(profile.fermi_points) | set(profile.marginal_points))
         for l in range(L):
             tp, tm = _fourier_pair(model, l, abs_tol, cuts)
@@ -168,19 +164,6 @@ def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
             "coefficient accuracy: |t_l| exceeds 1", achieved=overshoot
         )
     return ToeplitzCoeffs(L, t, method, abs_tol)
-
-
-def fourier_coefficient(model: ModelSpec, l: int, abs_tol: float = 1e-12) -> float:
-    """Single coefficient ``t_l`` to absolute accuracy ``abs_tol``."""
-    if abs_tol <= 0.0:
-        raise ModelError("abs_tol must be positive")
-    profile = classify_criticality(model)
-    closed = _closed_form(model, profile)
-    if closed is not None:
-        return closed(int(l))
-    cuts = sorted(set(profile.fermi_points) | set(profile.marginal_points))
-    tp, tm = _fourier_pair(model, abs(int(l)), abs_tol, cuts)
-    return tp if l >= 0 else tm
 
 
 def _resolve_table(model, L, abs_tol, table):

@@ -58,15 +58,6 @@ def test_scan_critical_rows_increase():
     assert all(b > a for a, b in zip(e1, e1[1:]))
 
 
-def test_scan_threads_match_serial():
-    grid = geometric_grid(8, 64)
-    serial = scan(XX2, grid, threads=1)
-    parallel = scan(XX2, grid, threads=4)
-    for r1, r2 in zip(serial.rows, parallel.rows):
-        assert r1.L == r2.L
-        assert r1.e1_cont_bits == pytest.approx(r2.e1_cont_bits, abs=1e-12)
-
-
 def test_scan_validates_grid():
     with pytest.raises(ModelError):
         scan(XX2, (8, 8))

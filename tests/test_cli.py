@@ -148,7 +148,7 @@ def test_cli_entry_point_runs():
 
 
 def test_deterministic_output():
-    args = ["analyze", "--model", "ising", "--L", "12", "--threads", "1"]
+    args = ["analyze", "--model", "ising", "--L", "12"]
     outs = []
     for _ in range(2):
         proc = subprocess.run([sys.executable, "-m", "singlecopy.cli", *args],

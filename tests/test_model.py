@@ -113,6 +113,45 @@ def test_classify_is_deterministic():
     assert p1 == p2
 
 
+def test_near_coincident_fermi_points_all_found():
+    # lam = (cos k - cos 1)(cos k - cos 1.001): Fermi points 1e-3 apart
+    model = build_model("custom", A=(0.5 + math.cos(1) * math.cos(1.001),
+                                     -(math.cos(1) + math.cos(1.001)) / 2, 0.25))
+    prof = classify_criticality(model)
+    assert len(prof.jumps) == 4
+    expected = [1.0, 1.001, 2 * math.pi - 1.001, 2 * math.pi - 1.0]
+    assert np.allclose(sorted(prof.fermi_points), expected, atol=1e-9)
+
+
+def test_fermi_pair_straddling_zero_stays_two_jumps():
+    # lam = cos(1e-3) - cos k: zeros at +-1e-3, each a jump with beta = 1/2
+    prof = classify_criticality(build_model("custom", A=(math.cos(1e-3), -0.5)))
+    assert len(prof.jumps) == 2
+    assert prof.beta_sq_sum() == 0.5
+
+
+def test_triple_zero_is_one_fermi_point():
+    # lam = (cos k - cos 1)^3: numpy splits each triple root by ~1e-5, yet
+    # each is one sign change of lam, with -1 on the right of k = 1
+    c = math.cos(1)
+    model = build_model("custom", A=(-c ** 3 - 1.5 * c, (3 * c * c + 0.75) / 2,
+                                     -0.75 * c, 0.125))
+    prof = classify_criticality(model)
+    assert np.allclose(prof.fermi_points, [1.0, 2 * math.pi - 1.0], atol=1e-6)
+    assert prof.marginal_points == ()
+    assert prof.jumps[0].right_limit == -1 and prof.jumps[1].right_limit == 1
+    assert prof.beta_sq_sum() == 0.5
+
+
+def test_tangential_zero_next_to_fermi_points_stays_marginal():
+    # lam = (cos k - 1)(cos k - cos 0.01): the rounded couplings split the
+    # double root at k = 0 radially, to 1 +- 3e-6
+    model = build_model("custom", A=(1.4999500004166653, -0.9999750002083326, 0.25))
+    prof = classify_criticality(model)
+    assert prof.marginal_points == (0.0,)
+    assert np.allclose(prof.fermi_points, [0.01, 2 * math.pi - 0.01], atol=1e-9)
+
+
 def test_jumps_closed_under_reflection():
     prof = classify_criticality(build_model("xx", a=2))
     ks = sorted(prof.fermi_points)

@@ -1,16 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from singlecopy.errors import ModelError
+from singlecopy.errors import CoefficientAccuracyError, ModelError
 from singlecopy.model import build_model, classify_criticality
 from singlecopy.toeplitz import (
     block_spectrum,
     build_T,
     build_gamma,
     coefficient_table,
-    fourier_coefficient,
     spectrum_from_singular_values,
     _fourier_pair,
 )
@@ -24,15 +24,17 @@ CONST = build_model("custom", A=(1,))
 def test_xx_closed_form_values():
     # single-band sign symbol: t_0 = 2 k_F / pi - 1, t_l = 2 sin(k_F l)/(pi l)
     k_f = math.acos(0.5)
-    assert fourier_coefficient(XX2, 0) == pytest.approx(2 * k_f / math.pi - 1, abs=1e-12)
-    assert fourier_coefficient(XX2, 0) == pytest.approx(-1 / 3, abs=1e-12)
-    assert fourier_coefficient(XX2, 1) == pytest.approx(2 * math.sin(k_f) / math.pi, abs=1e-12)
-    assert fourier_coefficient(XX2, 7) == pytest.approx(2 * math.sin(7 * k_f) / (7 * math.pi), abs=1e-12)
+    tab = coefficient_table(XX2, 8)
+    assert tab.coeff(0) == pytest.approx(2 * k_f / math.pi - 1, abs=1e-12)
+    assert tab.coeff(0) == pytest.approx(-1 / 3, abs=1e-12)
+    assert tab.coeff(1) == pytest.approx(2 * math.sin(k_f) / math.pi, abs=1e-12)
+    assert tab.coeff(7) == pytest.approx(2 * math.sin(7 * k_f) / (7 * math.pi), abs=1e-12)
 
 
 def test_constant_symbol_coefficients():
-    assert fourier_coefficient(CONST, 0) == 1.0
-    assert fourier_coefficient(CONST, 3) == 0.0
+    tab = coefficient_table(CONST, 4)
+    assert tab.coeff(0) == 1.0
+    assert tab.coeff(3) == 0.0
     assert np.allclose(build_T(CONST, 3), np.eye(3))
 
 
@@ -53,6 +55,53 @@ def test_quadrature_matches_closed_form(a):
         tp, tm = _fourier_pair(model, l, 1e-12, cuts)
         assert tp == pytest.approx(tab.coeff(l), abs=1e-10)
         assert tm == pytest.approx(tab.coeff(-l), abs=1e-10)
+
+
+def test_near_coincident_fermi_points_closed_form():
+    # lam = (cos k - cos 1)(cos k - cos 1.001): g = -1 only on two arcs of
+    # width 1e-3, so t_0 = 1 - 4e-3 / (2 pi); a 2^22-point sign average
+    # gives 0.9993639
+    model = build_model("custom", A=(0.5 + math.cos(1) * math.cos(1.001),
+                                     -(math.cos(1) + math.cos(1.001)) / 2, 0.25))
+    tab = coefficient_table(model, 4)
+    assert tab.method == "closed_form"
+    assert tab.coeff(0) == pytest.approx(0.999364, abs=1e-5)
+
+
+def test_marginal_xx_takes_closed_form():
+    # a = 1: lam = cos k - 1 <= 0 with a tangential zero at k = 0, so g = -1
+    model = build_model("xx", a=1)
+    tab = coefficient_table(model, 16)
+    assert tab.method == "closed_form"
+    assert np.array_equal(build_T(model, 16, table=tab), -np.eye(16))
+
+
+def test_triple_zero_closed_form():
+    # lam = (cos k - cos 1)^3 has the sign of cos k - cos 1: t_0 = 2/pi - 1
+    c = math.cos(1)
+    model = build_model("custom", A=(-c ** 3 - 1.5 * c, (3 * c * c + 0.75) / 2,
+                                     -0.75 * c, 0.125))
+    tab = coefficient_table(model, 8)
+    assert tab.coeff(0) == pytest.approx(2 / math.pi - 1, abs=1e-12)
+    assert tab.coeff(3) == pytest.approx(2 * math.sin(3) / (3 * math.pi), abs=1e-12)
+
+
+def test_tangential_zero_next_to_fermi_points_closed_form():
+    # lam = (cos k - 1)(cos k - cos 0.01) < 0 only for |k| < 0.01; the
+    # rounded couplings move those Fermi points by about 1e-10
+    model = build_model("custom", A=(1.4999500004166653, -0.9999750002083326, 0.25))
+    tab = coefficient_table(model, 8)
+    assert tab.coeff(0) == pytest.approx(1 - 0.04 / (2 * math.pi), abs=1e-9)
+    assert tab.coeff(5) == pytest.approx(-2 * math.sin(0.05) / (5 * math.pi), abs=1e-9)
+
+
+def test_closed_form_rejects_mistyped_zeros():
+    # the xx a=2 Fermi points passed off as marginal: lam changes sign there
+    prof = classify_criticality(XX2)
+    wrong = dataclasses.replace(prof, jumps=(), fermi_points=(),
+                                marginal_points=prof.fermi_points)
+    with pytest.raises(CoefficientAccuracyError):
+        coefficient_table(XX2, 8, profile=wrong)
 
 
 def test_coefficients_are_real_and_symmetric_for_isotropic():

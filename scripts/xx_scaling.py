@@ -13,10 +13,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
-
-from singlecopy.model import build_model, classify_criticality
-from singlecopy.asymptotics import fit_log, geometric_grid, scan
+from singlecopy.model import build_model
+from singlecopy.asymptotics import fh_slope, fit_log, geometric_grid, scan
 from singlecopy.serialize import dumps, fit_to_dict, scan_to_csv
 
 
@@ -43,19 +41,14 @@ def main():
     window = (args.fit_min, args.L_max)
     e1 = fit_log(series, "e1_cont_bits", window=window)
     s = fit_log(series, "entropy_bits", window=window)
-    pts = [(r.L, -r.ln_absdet_T) for r in series.rows]
-    x = np.log([p[0] for p in pts])
-    det_slope = float(np.linalg.lstsq(
-        np.vstack([x, np.ones_like(x)]).T, np.array([p[1] for p in pts]), rcond=None
-    )[0][0])
-    beta_sq = classify_criticality(model).beta_sq_sum()
+    det = fh_slope(series)
 
     print()
     print(f"e1_cont slope : {e1.slope:.5f}   (1/6 = {1/6:.5f})")
     print(f"entropy slope : {s.slope:.5f}   (1/3 = {1/3:.5f})")
     print(f"e1/S @ L={args.L_max}: "
           f"{series.rows[-1].e1_cont_bits / series.rows[-1].entropy_bits:.5f}   (-> 1/2)")
-    print(f"-ln|detT| vs ln L : {det_slope:.5f}   (sum beta^2 = {beta_sq:.5f})")
+    print(f"-ln|detT| vs ln L : {det.slope:.5f}   (sum beta^2 = {det.predicted_slope:.5f})")
 
     if args.csv is not None:
         args.csv.write_text(scan_to_csv(series))

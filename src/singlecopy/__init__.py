@@ -35,7 +35,6 @@ from .entangle import (
     EpResult,
     SectorWeight,
     SingleCopyE1,
-    SortedSpectrum,
     leading_eigenvalues,
     nielsen_transformable,
     probabilistic_Ep,
@@ -44,11 +43,9 @@ from .entangle import (
     single_copy_E1,
 )
 from .oracle import (
-    FiniteChain,
     OracleComparison,
     compare_oracle,
     exact_diag_ground,
-    finite_chain,
     finite_gaussian_ground,
 )
 from .asymptotics import (

@@ -9,7 +9,7 @@ behind the 1/6 scaling coefficient by adaptive quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -205,34 +205,18 @@ def bound_chain(spectrum: BlockSpectrum) -> BoundChain:
     return BoundChain(lhs + 0.0, mid + 0.0, rhs + 0.0)
 
 
-def fh_slope(model: ModelSpec, grid, abs_tol: float = 1e-12) -> ScalingFit:
-    """Fit of ``-ln|det T_L|`` against ``ln L`` for a critical model.
+def fh_slope(series: ScanSeries) -> ScalingFit:
+    """Fit of ``-ln|det T_L|`` against ``ln L`` for a scanned critical model.
 
-    Attaches the jump-exponent prediction ``sum_j beta_j^2`` from the symbol
-    profile as ``predicted_slope``; -inf determinants are excluded and
-    counted in ``n_excluded``.
+    The ``ln_absdet_T`` fit against log2(L), rescaled to ``ln L`` and
+    negated.  Attaches the jump-exponent prediction ``sum_j beta_j^2`` from
+    the symbol profile as ``predicted_slope``; -inf determinants are
+    excluded and counted in ``n_excluded``.
     """
-    profile = classify_criticality(model)
-    series = scan(model, grid, abs_tol)
-    pts = [(r.L, -r.ln_absdet_T) for r in series.rows
-           if r.error is None and math.isfinite(r.ln_absdet_T)]
-    skipped = len(series.rows) - len(pts)
-    if len(pts) < 3:
-        raise ModelError("need at least 3 finite determinants to fit")
-    x = np.log([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
-    design = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    return ScalingFit(
-        quantity="neg_ln_absdet_T",
-        slope=float(coef[0]),
-        intercept=float(coef[1]),
-        rms_residual=float(np.sqrt(np.mean(resid ** 2))),
-        grid_range=(pts[0][0], pts[-1][0]),
-        predicted_slope=profile.beta_sq_sum(),
-        n_excluded=skipped,
-    )
+    fit = fit_log(series, "ln_absdet_T")
+    return replace(fit, quantity="neg_ln_absdet_T", slope=-fit.slope / LN2,
+                   intercept=-fit.intercept,
+                   predicted_slope=classify_criticality(series.model).beta_sq_sum())
 
 
 @dataclass(frozen=True)

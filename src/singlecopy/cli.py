@@ -207,11 +207,11 @@ def _cmd_scan(args):
 def _cmd_fit(args):
     model = _model_from_args(args)
     grid = _grid_from_args(args)
+    series = scan(model, grid, abs_tol=args.tol,
+                  progress=lambda msg: print(msg, file=sys.stderr))
     if args.quantity == "neg_ln_absdet_T":
-        fit = fh_slope(model, grid, abs_tol=args.tol)
+        fit = fh_slope(series)
     else:
-        series = scan(model, grid, abs_tol=args.tol,
-                      progress=lambda msg: print(msg, file=sys.stderr))
         fit = fit_log(series, args.quantity, two_term=args.two_term)
     emit(fit_to_dict(fit), args.format, args.out)
     return EXIT_OK

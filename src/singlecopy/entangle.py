@@ -34,19 +34,8 @@ _SUM_TOL = 1e-9
 _ORDER_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SortedSpectrum:
-    """Non-increasing probability spectrum, optionally tagged with its origin."""
-
-    values: np.ndarray
-    origin: str = "explicit"
-    mu: np.ndarray | None = None
-    convention: str | None = None
-
-
 def _validated(spectrum, total: float = 1.0) -> np.ndarray:
-    vals = spectrum.values if isinstance(spectrum, SortedSpectrum) else spectrum
-    vals = np.asarray(vals, dtype=float)
+    vals = np.asarray(spectrum, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise InvalidSpectrumError("spectrum must be a non-empty 1-d array")
     if not np.all(np.isfinite(vals)):
@@ -285,7 +274,7 @@ class EntanglementReport:
 
 def report_from_spectrum(model: ModelSpec, spec: BlockSpectrum, *,
                          with_Ep: bool = False, with_sectors: bool = False,
-                         Ep_dims: int = 256, sector_cutoff: int | None = None) -> EntanglementReport:
+                         Ep_dims: int = 256) -> EntanglementReport:
     """Assemble a report from an existing block spectrum."""
     sc = single_copy_E1(ln_alpha1=spec.ln_alpha1)
     diagnostics = {
@@ -303,12 +292,7 @@ def report_from_spectrum(model: ModelSpec, spec: BlockSpectrum, *,
         diagnostics["Ep_truncated"] = bool(truncated or ep.truncated)
     sectors = None
     if with_sectors and model.isotropic:
-        sw = sector_decompose(spec.mu, "plus")
-        if sector_cutoff is not None and sector_cutoff < len(sw):
-            keep = sorted(sorted(sw, key=lambda s: -s.weight)[:sector_cutoff],
-                          key=lambda s: s.N)
-            sw = tuple(keep)
-        sectors = sw
+        sectors = sector_decompose(spec.mu, "plus")
     return EntanglementReport(
         model=model,
         L=spec.L,
@@ -323,8 +307,7 @@ def report_from_spectrum(model: ModelSpec, spec: BlockSpectrum, *,
 
 
 def report(model: ModelSpec, L: int, *, with_Ep: bool = False,
-           with_sectors: bool = False, Ep_dims: int = 256,
-           sector_cutoff: int | None = None, abs_tol: float = 1e-12,
+           with_sectors: bool = False, Ep_dims: int = 256, abs_tol: float = 1e-12,
            table: ToeplitzCoeffs | None = None) -> EntanglementReport:
     """Full pipeline model -> T_L -> mu -> entanglement report.
 
@@ -334,7 +317,5 @@ def report(model: ModelSpec, L: int, *, with_Ep: bool = False,
     if L < 1:
         raise ModelError("block length L must be >= 1")
     spec = block_spectrum(build_T(model, L, abs_tol, table))
-    return report_from_spectrum(
-        model, spec, with_Ep=with_Ep, with_sectors=with_sectors,
-        Ep_dims=Ep_dims, sector_cutoff=sector_cutoff,
-    )
+    return report_from_spectrum(model, spec, with_Ep=with_Ep,
+                                with_sectors=with_sectors, Ep_dims=Ep_dims)

@@ -3,12 +3,13 @@
 Two independent routes to the reduced state of a centered block in a finite
 open chain:
 
-* ``finite_gaussian_ground`` diagonalizes the 2n x 2n Majorana quadratic
-  form with a real orthogonal (Schur) transformation and fills the normal
-  modes that lower the energy, giving the exact finite-n ground covariance.
+* ``finite_gaussian_ground`` takes the exact finite-n ground covariance as
+  the orthogonal polar factor of the 2n x 2n Majorana quadratic form, from
+  one SVD; zero modes are left at half filling and mark the state
+  degenerate.
 * ``exact_diag_ground`` builds the dense 2^n x 2^n Hamiltonian in the
   occupation basis with fermionic sign bookkeeping and reduces the ground
-  vector directly.
+  vector directly; it refuses degenerate ground states.
 
 Open boundaries keep the fermionic picture exact (no boundary strings or
 parity corrections); blocks are centered to suppress edge effects, and the
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .entangle import SortedSpectrum, leading_eigenvalues
+from .entangle import leading_eigenvalues
 from .errors import DecompositionError, DegenerateGroundStateError, ModelError
 from .model import ModelSpec
 from .toeplitz import BlockSpectrum, block_spectrum, build_T, spectrum_from_singular_values
@@ -34,24 +35,12 @@ _ORTHO_TOL = 1e-8
 _ED_GAP_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class FiniteChain:
-    """An open chain of ``n`` sites with its Majorana quadratic form.
-
-    ``quadratic_form`` is the real skew-symmetric ``h`` of
-    ``H = (i/4) m^T h m`` in the interleaved Majorana layout
-    ``(m_1, m_2, ..., m_{2n})``; ``gap`` is the lowest normal-mode energy.
-    """
-
-    model: ModelSpec
-    n: int
-    boundary: str
-    quadratic_form: np.ndarray
-    gap: float
-
-
 def chain_quadratic_form(model: ModelSpec, n: int) -> np.ndarray:
-    """Majorana quadratic form of the open chain (couplings cut at the edge)."""
+    """Majorana quadratic form of the open chain (couplings cut at the edge).
+
+    The real skew-symmetric ``h`` of ``H = (i/4) m^T h m`` in the
+    interleaved Majorana layout ``(m_1, m_2, ..., m_{2n})``.
+    """
     if n < 1:
         raise ModelError("chain length n must be >= 1")
     h = np.zeros((2 * n, 2 * n))
@@ -66,80 +55,37 @@ def chain_quadratic_form(model: ModelSpec, n: int) -> np.ndarray:
     return h
 
 
-def _canonical_modes(h: np.ndarray):
-    """Real-orthogonal canonical form of a skew-symmetric matrix.
-
-    Returns (Z, pairs) with ``h = Z T Z^T``; ``pairs`` lists
-    ``(index, signed_energy)`` for each 2x2 block of T, plus zero-energy
-    singletons for exactly null directions.
-    """
-    dim = h.shape[0]
-    T, Z = scipy.linalg.schur(h, output="real")
-    if np.abs(Z @ Z.T - np.eye(dim)).max() > _ORTHO_TOL:
-        raise DecompositionError("canonicalization is not orthogonal")
-    if np.abs(Z @ T @ Z.T - h).max() > _ORTHO_TOL * max(1.0, np.abs(h).max()):
-        raise DecompositionError("canonical form does not reproduce the input")
-    pairs = []
-    i = 0
-    scale = max(np.abs(h).max(), 1.0)
-    while i < dim:
-        if i + 1 < dim and max(abs(T[i, i + 1]), abs(T[i + 1, i])) > 1e-14 * scale:
-            pairs.append((i, 0.5 * (T[i, i + 1] - T[i + 1, i])))
-            i += 2
-        else:
-            pairs.append((i, 0.0))
-            i += 1
-    return Z, pairs
-
-
-def _ground_covariance(model: ModelSpec, n: int):
-    """(chain, covariance, degenerate) for the finite open chain ground state.
-
-    The ground covariance aligns each canonical 2x2 block of gamma with the
-    corresponding block of h; modes below the zero-energy tolerance get
-    covariance 0 (half filling) and mark the result degenerate.
-    """
-    h = chain_quadratic_form(model, n)
-    Z, pairs = _canonical_modes(h)
-    dim = 2 * n
-    S = np.zeros((dim, dim))
-    energies = []
-    degenerate = False
-    for i, signed in pairs:
-        eps = abs(signed)
-        energies.append(eps)
-        if eps < _ZERO_MODE_TOL:
-            degenerate = True
-            continue
-        s = math.copysign(1.0, signed)
-        S[i, i + 1] = s
-        S[i + 1, i] = -s
-    gamma = Z @ S @ Z.T
-    gamma = 0.5 * (gamma - gamma.T)
-    gap = float(min(energies)) if energies else 0.0
-    chain = FiniteChain(model, n, "open", h, gap)
-    return chain, gamma, degenerate
-
-
-def finite_chain(model: ModelSpec, n: int) -> FiniteChain:
-    """Open chain with its quadratic form and normal-mode gap."""
-    chain, _, _ = _ground_covariance(model, n)
-    return chain
-
-
 def _block_offset(n: int, L: int) -> int:
     return (n - L) // 2
 
 
-def finite_gaussian_ground(model: ModelSpec, n: int, L: int) -> BlockSpectrum:
-    """Block spectrum of the centered L-site block of the finite ground state."""
+def _gaussian_block(model: ModelSpec, n: int, L: int):
+    """(block spectrum, normal-mode gap) of the centered L-site block.
+
+    With ``h = U diag(s) V^T``, the ground covariance is the polar factor
+    ``U V^T`` restricted to the modes with ``s >= _ZERO_MODE_TOL``; the
+    others (zero modes) get covariance 0, i.e. half filling, and mark the
+    spectrum degenerate.  The singular values of ``h`` are the normal-mode
+    energies, each twice, and the gap is the smallest.
+    """
     if not (1 <= L <= n <= 4096):
         raise ModelError("need 1 <= L <= n <= 4096")
-    _, gamma, degenerate = _ground_covariance(model, n)
+    U, s, Vt = scipy.linalg.svd(chain_quadratic_form(model, n))
+    keep = s >= _ZERO_MODE_TOL
+    gamma = U[:, keep] @ Vt[keep]
+    gamma = 0.5 * (gamma - gamma.T)     # the two factors round independently
+    if np.abs(gamma @ gamma.T - U[:, keep] @ U[:, keep].T).max() > _ORTHO_TOL:
+        raise DecompositionError("polar factor is not orthogonal on the kept modes")
     o = _block_offset(n, L)
     sub = gamma[2 * o:2 * (o + L), 2 * o:2 * (o + L)]
     mu = np.linalg.svd(sub, compute_uv=False)[0::2]   # each mu appears twice
-    return spectrum_from_singular_values(mu, degenerate=degenerate)
+    gap = float(s.min())
+    return spectrum_from_singular_values(mu, degenerate=gap < _ZERO_MODE_TOL), gap
+
+
+def finite_gaussian_ground(model: ModelSpec, n: int, L: int) -> BlockSpectrum:
+    """Block spectrum of the centered L-site block of the finite ground state."""
+    return _gaussian_block(model, n, L)[0]
 
 
 def _occupations(n: int):
@@ -199,9 +145,18 @@ def fock_hamiltonian(model: ModelSpec, n: int) -> np.ndarray:
 
 
 def _ed_ground(model: ModelSpec, n: int):
-    """(eigenvalues, ground vector) of the dense Fock-space Hamiltonian."""
-    H = fock_hamiltonian(model, n)
-    evals, evecs = np.linalg.eigh(H)
+    """(eigenvalues, ground vector) of the dense Fock-space Hamiltonian.
+
+    Refuses numerically degenerate ground states: comparing an arbitrary
+    vector from a degenerate space against the Gaussian convention would
+    produce spurious mismatches.
+    """
+    evals, evecs = np.linalg.eigh(fock_hamiltonian(model, n))
+    gap = float(evals[1] - evals[0])
+    if gap <= _ED_GAP_TOL:
+        raise DegenerateGroundStateError(
+            f"degenerate ground state (many-body gap {gap:.3e})"
+        )
     return evals, evecs[:, 0]
 
 
@@ -213,22 +168,12 @@ def _reduced_spectrum(psi: np.ndarray, n: int, L: int) -> np.ndarray:
     return np.clip(vals, 0.0, None)
 
 
-def exact_diag_ground(model: ModelSpec, n: int, L: int) -> SortedSpectrum:
-    """Reduced-state spectrum of the centered block from exact diagonalization.
-
-    Refuses numerically degenerate ground states: comparing an arbitrary
-    vector from a degenerate space against the Gaussian convention would
-    produce spurious mismatches.
-    """
+def exact_diag_ground(model: ModelSpec, n: int, L: int) -> np.ndarray:
+    """Sorted reduced-state spectrum of the centered block from exact diagonalization."""
     if not (1 <= L <= n):
         raise ModelError("need 1 <= L <= n")
-    evals, psi = _ed_ground(model, n)
-    gap = float(evals[1] - evals[0])
-    if gap <= _ED_GAP_TOL:
-        raise DegenerateGroundStateError(
-            f"degenerate ground state (many-body gap {gap:.3e})"
-        )
-    return SortedSpectrum(values=_reduced_spectrum(psi, n, L), origin="explicit")
+    _, psi = _ed_ground(model, n)
+    return _reduced_spectrum(psi, n, L)
 
 
 @dataclass(frozen=True)
@@ -266,21 +211,13 @@ def compare_oracle(model: ModelSpec, n: int, L: int,
         gauss = finite_gaussian_ground(model, n, L)
         evals, psi = _ed_ground(model, n)
         gap = float(evals[1] - evals[0])
-        if gap <= _ED_GAP_TOL:
-            raise DegenerateGroundStateError(
-                f"degenerate ground state (many-body gap {gap:.3e})"
-            )
-        a = _top64(leading_eigenvalues(gauss.mu, _TOP))
         b = _top64(_reduced_spectrum(psi, n, L))
     elif method_pair == "gaussian-vs-thermodynamic":
-        gauss = finite_gaussian_ground(model, n, L)
-        chain = finite_chain(model, n)
-        gap = chain.gap
-        thermo = block_spectrum(build_T(model, L))
-        a = _top64(leading_eigenvalues(gauss.mu, _TOP))
-        b = _top64(leading_eigenvalues(thermo.mu, _TOP))
+        gauss, gap = _gaussian_block(model, n, L)
+        b = _top64(leading_eigenvalues(block_spectrum(build_T(model, L)).mu, _TOP))
     else:
         raise ModelError(f"unknown method pair {method_pair!r}")
+    a = _top64(leading_eigenvalues(gauss.mu, _TOP))
     diff = float(np.abs(a - b).max())
     defect = method_pair == "gaussian-vs-ed" and diff > 1e-6 and gap > 1e-6
     return OracleComparison(n, L, gap, diff, (a, b), method_pair, defect)

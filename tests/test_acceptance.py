@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import spence
 
-from singlecopy.model import build_model, classify_criticality
+from singlecopy.model import build_model
 from singlecopy.toeplitz import build_T, block_spectrum
 from singlecopy.entangle import (
     nielsen_transformable,
@@ -24,6 +24,7 @@ from singlecopy.entangle import (
 from singlecopy.oracle import compare_oracle
 from singlecopy.asymptotics import (
     bound_chain,
+    fh_slope,
     fit_log,
     geometric_grid,
     integral_check,
@@ -167,12 +168,8 @@ def test_criterion_9_majorization_equivalence():
 
 
 def test_criterion_10_determinant_slope(xx_scan):
-    pts = [(r.L, -r.ln_absdet_T) for r in xx_scan.rows]
-    x = np.log([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
-    design = np.vstack([x, np.ones_like(x)]).T
-    slope = float(np.linalg.lstsq(design, y, rcond=None)[0][0])
-    beta_sq = classify_criticality(XX2).beta_sq_sum()
+    fit = fh_slope(xx_scan)
+    slope, beta_sq = fit.slope, fit.predicted_slope
     ok = abs(slope - 0.5) <= 0.05 and beta_sq == pytest.approx(0.5, abs=1e-9)
     _report(10, ok, f"-ln|det T| slope={slope:.4f} vs sum(beta^2)={beta_sq:.4f} (0.5 +- 0.05)")
 

@@ -125,7 +125,7 @@ def test_bound_chain_forced_inequalities_on_random_spectra():
 
 
 def test_fh_slope_small_grid_prediction():
-    fit = fh_slope(XX2, geometric_grid(64, 512))
+    fit = fh_slope(scan(XX2, geometric_grid(64, 512)))
     assert fit.predicted_slope == pytest.approx(0.5, abs=1e-9)
     assert fit.slope == pytest.approx(0.5, abs=0.05)
     assert fit.quantity == "neg_ln_absdet_T"
@@ -133,7 +133,7 @@ def test_fh_slope_small_grid_prediction():
 
 def test_fh_slope_gapped_zero_winding_model_saturates():
     # continuous symbol that does not encircle the origin: |det T_L| -> const
-    fit = fh_slope(build_model("xy", a=0.5, gamma=0.5), geometric_grid(32, 256))
+    fit = fh_slope(scan(build_model("xy", a=0.5, gamma=0.5), geometric_grid(32, 256)))
     assert abs(fit.slope) < 0.02
     assert fit.predicted_slope == 0.0
 
@@ -154,7 +154,7 @@ def test_gapped_winding_symbol_has_one_collapsing_singular_value():
 
 def test_fh_requires_enough_points():
     with pytest.raises(ModelError):
-        fh_slope(XX2, (8, 16))
+        fh_slope(scan(XX2, (8, 16)))
 
 
 # --- the closed integral -----------------------------------------------------

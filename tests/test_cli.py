@@ -196,7 +196,7 @@ def test_minus_inf_round_trips_as_string():
 
 
 def test_fit_round_trip():
-    fit = fh_slope(build_model("xx", a=2), geometric_grid(32, 128))
+    fit = fh_slope(scan(build_model("xx", a=2), geometric_grid(32, 128)))
     parsed = fit_from_dict(json.loads(dumps(fit_to_dict(fit))))
     assert parsed == fit
 

@@ -5,7 +5,8 @@ every such polynomial is the dispersion of some table, so tables are built
 from root factors: Fermi pairs, near-coincident pairs, zeros at 0 and pi,
 tangential (double) zeros, triple zeros and roots off the unit circle
 (gapped factors).  Isotropic tables are polynomials in ``x = cos k``
-instead.
+instead.  The same tables drive the classifier, the isotropic closed form,
+and the finite Gaussian chain against exact diagonalization.
 """
 
 import math
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import chebyshev, polynomial
 
+from singlecopy.errors import DegenerateGroundStateError
 from singlecopy.model import build_model, classify_criticality
+from singlecopy.oracle import _gaussian_block, compare_oracle
 from singlecopy.toeplitz import _fourier_pair, coefficient_table
 
 GRID = 1 << 16
@@ -150,9 +153,7 @@ def anisotropic_tables(draw):
     shift = draw(st.integers(0, 2 * w + 1 - p.size))     # times z^shift: a root at 0
     c = np.zeros(2 * w + 1)
     c[shift:shift + p.size] = p
-    model = _model_from_laurent(c)
-    assume(_resolvable(model, jumps, tangents))
-    return model, len(jumps), len(tangents)
+    return _model_from_laurent(c), jumps, tangents
 
 
 @st.composite
@@ -163,16 +164,17 @@ def isotropic_tables(draw, factors=x_factors, tangent_gap=0.0):
     a[:P.size] = chebyshev.poly2cheb(P)                  # lam = sum_n a_n cos(n k)
     model = build_model("custom", A=[a[0]] + [x / 2 for x in a[1:]])
     zeros = jumps + tangents
-    assume(_resolvable(model, jumps, tangents))
     assume(all(_circular_gap(t, z) >= tangent_gap
                for i, t in enumerate(tangents, len(jumps)) for z in zeros[:i] + zeros[i + 1:]))
-    return model, len(jumps), len(tangents)
+    return model, jumps, tangents
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(anisotropic_tables(), isotropic_tables()))
 def test_classifier_matches_brute_force_sign_count(table):
-    model, n_jumps, n_tangent = table
+    model, jumps, tangents = table
+    assume(_resolvable(model, jumps, tangents))
+    n_jumps, n_tangent = len(jumps), len(tangents)
     prof = classify_criticality(model)
     assert len(prof.jumps) == _grid_sign_changes(model) == n_jumps
     assert len(prof.marginal_points) == n_tangent
@@ -193,7 +195,8 @@ def test_classifier_matches_brute_force_sign_count(table):
 @settings(max_examples=40, deadline=None)
 @given(isotropic_tables(x_factors_low, tangent_gap=0.1))
 def test_closed_form_matches_quadrature(table):
-    model, _, _ = table
+    model, jumps, tangents = table
+    assume(_resolvable(model, jumps, tangents))
     prof = classify_criticality(model)
     tab = coefficient_table(model, 257, profile=prof)
     assert tab.method == "closed_form"
@@ -202,3 +205,22 @@ def test_closed_form_matches_quadrature(table):
         tp, tm = _fourier_pair(model, l, 1e-10, cuts)
         assert tp == pytest.approx(tab.coeff(l), abs=1e-10)
         assert tm == pytest.approx(tab.coeff(-l), abs=1e-10)
+
+
+# Open chains of up to 9 sites cut the couplings at both edges, so their
+# normal modes include edge and (for critical tables) near-zero modes.  The
+# lowest normal-mode energy is the many-body gap; a zero mode makes both
+# routes refuse or flag the state, and only those draws are skipped.
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(anisotropic_tables(), isotropic_tables()), st.integers(1, 9), st.data())
+def test_finite_gaussian_matches_exact_diagonalization(table, n, data):
+    model, _, _ = table
+    L = data.draw(st.integers(1, n))
+    gauss, normal_mode_gap = _gaussian_block(model, n, L)
+    try:
+        cmp = compare_oracle(model, n, L, "gaussian-vs-ed")
+    except DegenerateGroundStateError:
+        assume(False)
+    assert not gauss.degenerate
+    assert cmp.max_abs_diff < 1e-8
+    assert cmp.gap == pytest.approx(normal_mode_gap, abs=1e-10)

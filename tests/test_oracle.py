@@ -10,7 +10,6 @@ from singlecopy.oracle import (
     chain_quadratic_form,
     compare_oracle,
     exact_diag_ground,
-    finite_chain,
     finite_gaussian_ground,
     fock_hamiltonian,
 )
@@ -31,8 +30,7 @@ def test_product_state_chain():
     s = finite_gaussian_ground(CONST, 4, 2)
     assert np.allclose(s.mu, 1.0)
     assert not s.degenerate
-    sp = exact_diag_ground(CONST, 2, 1)
-    assert np.allclose(sp.values, [1.0, 0.0])
+    assert np.allclose(exact_diag_ground(CONST, 2, 1), [1.0, 0.0])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -82,8 +80,7 @@ def test_purity_at_full_block():
     for model, n in ((XX2, 10), (ISING, 8)):
         s = finite_gaussian_ground(model, n, n)
         assert s.mu.min() > 1.0 - 1e-10
-        sp = exact_diag_ground(model, n, n)
-        assert sp.values[0] == pytest.approx(1.0, abs=1e-10)
+        assert exact_diag_ground(model, n, n)[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_degenerate_chain_is_refused():
@@ -92,7 +89,7 @@ def test_degenerate_chain_is_refused():
         exact_diag_ground(XX2, 8, 4)
     s = finite_gaussian_ground(XX2, 8, 4)
     assert s.degenerate
-    assert finite_chain(XX2, 8).gap < 1e-10
+    assert compare_oracle(XX2, 8, 4, "gaussian-vs-thermodynamic").gap < 1e-10
 
 
 def test_thermodynamic_convergence():

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from singlecopy.model import build_model
 from singlecopy.asymptotics import fh_slope, fit_log, geometric_grid, scan
-from singlecopy.serialize import dumps, fit_to_dict, scan_to_csv
+from singlecopy.serialize import dumps, scan_to_csv, to_dict
 
 
 def main():
@@ -52,7 +52,7 @@ def main():
 
     if args.csv is not None:
         args.csv.write_text(scan_to_csv(series))
-        args.csv.with_suffix(".fit.json").write_text(dumps(fit_to_dict(e1)))
+        args.csv.with_suffix(".fit.json").write_text(dumps(to_dict(e1)))
         print(f"# wrote {args.csv} and {args.csv.with_suffix('.fit.json')}")
 
 

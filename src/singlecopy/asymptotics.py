@@ -9,7 +9,7 @@ behind the 1/6 scaling coefficient by adaptive quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -58,7 +58,7 @@ class ScanSeries:
     model: ModelSpec
     grid: tuple[int, ...]
     rows: tuple[ScanRow, ...]
-    spectra: tuple[BlockSpectrum, ...] | None = None
+    spectra: tuple[BlockSpectrum, ...] | None = field(default=None, compare=False)
 
 
 def _row_from_spectrum(spec: BlockSpectrum) -> ScanRow:

@@ -9,25 +9,18 @@ failure, 3 failed check.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .asymptotics import SCAN_FIELDS, fh_slope, fit_log, geometric_grid, integral_check, scan
-from .entangle import nielsen_transformable, probabilistic_Ep, report, single_copy_E1
+from .asymptotics import (SCAN_FIELDS, ScanSeries, fh_slope, fit_log, geometric_grid,
+                          integral_check, scan)
+from .entangle import MAX_EP_DIMS, nielsen_transformable, probabilistic_Ep, report, single_copy_E1
 from .errors import ToolkitError
 from .model import build_model
 from .oracle import compare_oracle
-from .serialize import (
-    comparison_to_dict,
-    dumps,
-    fit_to_dict,
-    report_to_dict,
-    scan_to_csv,
-    scan_to_dict,
-)
+from .serialize import dumps, scan_to_csv, to_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,25 +50,16 @@ def _add_model_flags(p):
     p.add_argument("--B", type=_csv_floats, default=None, metavar="v1,v2,...")
 
 
-#: defaults applied only after a --config file had its chance to set the flag
-_FALLBACKS = {
-    "tol": 1e-12,
-    "format": "json",
-    "ep_dims": 256,
-    "L_min": 64,
-    "L_max": 2048,
-    "per_octave": 2,
-    "quantity": "e1_cont_bits",
-    "pair": "gaussian-vs-ed",
-}
-
-
 def _add_common_flags(p):
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out", default=None, metavar="PATH")
-    p.add_argument("--format", choices=("json", "csv"), default=None)
-    p.add_argument("--config", default=None, metavar="PATH",
-                   help="JSON file whose keys mirror the flags")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_grid_flags(p):
+    p.add_argument("--L-min", type=int, default=64)
+    p.add_argument("--L-max", type=int, default=2048)
+    p.add_argument("--per-octave", type=int, default=2)
 
 
 def build_parser() -> _Parser:
@@ -89,22 +73,19 @@ def build_parser() -> _Parser:
     p.add_argument("--L", type=int, required=False)
     p.add_argument("--with-ep", action="store_true")
     p.add_argument("--with-sectors", action="store_true")
-    p.add_argument("--ep-dims", type=int, default=None)
+    p.add_argument("--ep-dims", type=int, default=256)
 
     p = subs.add_parser("scan", help="scan a geometric grid of block lengths")
     _add_model_flags(p)
     _add_common_flags(p)
-    p.add_argument("--L-min", type=int, default=None)
-    p.add_argument("--L-max", type=int, default=None)
-    p.add_argument("--per-octave", type=int, default=None)
+    _add_grid_flags(p)
 
     p = subs.add_parser("fit", help="scan, then fit a quantity against log2(L)")
     _add_model_flags(p)
     _add_common_flags(p)
-    p.add_argument("--L-min", type=int, default=None)
-    p.add_argument("--L-max", type=int, default=None)
-    p.add_argument("--per-octave", type=int, default=None)
-    p.add_argument("--quantity", default=None, choices=SCAN_FIELDS + ("neg_ln_absdet_T",))
+    _add_grid_flags(p)
+    p.add_argument("--quantity", default="e1_cont_bits",
+                   choices=SCAN_FIELDS + ("neg_ln_absdet_T",))
     p.add_argument("--two-term", action="store_true")
 
     p = subs.add_parser("oracle", help="cross-validate Gaussian vs exact methods")
@@ -113,7 +94,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=False)
     p.add_argument("--L", type=int, required=False)
     p.add_argument("--pair", choices=("gaussian-vs-ed", "gaussian-vs-thermodynamic"),
-                   default=None)
+                   default="gaussian-vs-ed")
 
     p = subs.add_parser("check", help="built-in self checks")
     _add_common_flags(p)
@@ -121,22 +102,6 @@ def build_parser() -> _Parser:
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--majorization", action="store_true")
     return parser
-
-
-def _apply_config(args):
-    if getattr(args, "config", None) is None:
-        return args
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, attr) in (None, False):
-            if attr in ("A", "B") and value is not None:
-                value = tuple(float(x) for x in value)
-            setattr(args, attr, value)
-    return args
 
 
 def _model_from_args(args):
@@ -171,27 +136,25 @@ def _emit_text(text: str, out_path):
             fh.write(text)
 
 
-def emit(payload, fmt: str, out_path) -> None:
-    """Serialize one report payload (dict or ScanSeries) to its destination."""
-    from .asymptotics import ScanSeries
-
+def emit(result, fmt: str, out_path) -> None:
+    """Serialize one result dataclass to its destination (CSV for scan series only)."""
     if fmt == "csv":
-        if not isinstance(payload, ScanSeries):
+        if not isinstance(result, ScanSeries):
             raise UsageError("csv output is only defined for scan series")
-        _emit_text(scan_to_csv(payload), out_path)
+        _emit_text(scan_to_csv(result), out_path)
     else:
-        if isinstance(payload, ScanSeries):
-            payload = scan_to_dict(payload)
-        _emit_text(dumps(payload), out_path)
+        _emit_text(dumps(to_dict(result)), out_path)
 
 
 def _cmd_analyze(args):
     model = _model_from_args(args)
     if args.L is None or args.L < 1:
         raise UsageError("analyze needs --L >= 1")
+    if not 1 <= args.ep_dims <= MAX_EP_DIMS:
+        raise UsageError(f"--ep-dims must be in [1, {MAX_EP_DIMS}]")
     rep = report(model, args.L, with_Ep=args.with_ep, with_sectors=args.with_sectors,
                  Ep_dims=args.ep_dims, abs_tol=args.tol)
-    emit(report_to_dict(rep), args.format, args.out)
+    emit(rep, args.format, args.out)
     return EXIT_OK
 
 
@@ -207,13 +170,15 @@ def _cmd_scan(args):
 def _cmd_fit(args):
     model = _model_from_args(args)
     grid = _grid_from_args(args)
+    if args.two_term and args.quantity == "neg_ln_absdet_T":
+        raise UsageError("--two-term is not defined for --quantity neg_ln_absdet_T")
     series = scan(model, grid, abs_tol=args.tol,
                   progress=lambda msg: print(msg, file=sys.stderr))
     if args.quantity == "neg_ln_absdet_T":
         fit = fh_slope(series)
     else:
         fit = fit_log(series, args.quantity, two_term=args.two_term)
-    emit(fit_to_dict(fit), args.format, args.out)
+    emit(fit, args.format, args.out)
     return EXIT_OK
 
 
@@ -222,7 +187,7 @@ def _cmd_oracle(args):
     if args.n is None or args.L is None:
         raise UsageError("oracle needs --n and --L")
     cmp = compare_oracle(model, args.n, args.L, args.pair)
-    emit(comparison_to_dict(cmp), args.format, args.out)
+    emit(cmp, args.format, args.out)
     return EXIT_OK
 
 
@@ -300,10 +265,6 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args)
-        for attr, fallback in _FALLBACKS.items():
-            if getattr(args, attr, False) is None:
-                setattr(args, attr, fallback)
         return _COMMANDS[args.subcommand](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
@@ -29,6 +29,9 @@ from .toeplitz import LN2, BlockSpectrum, ToeplitzCoeffs, block_spectrum, build_
 
 #: Above this many bits the floor correction in E1 is below float resolution.
 FLOOR_BITS_LIMIT = 52.0
+
+#: Largest target dimension of the ``Ep`` linear program.
+MAX_EP_DIMS = 1024
 
 _SUM_TOL = 1e-9
 _ORDER_TOL = 1e-12
@@ -124,7 +127,7 @@ def _verify_lp_optimum(c, A_ub, b_ub, res, tol=1e-8):
         raise SolverError(f"duality gap {gap:.3e} exceeds tolerance")
 
 
-def probabilistic_Ep(spectrum, M_max: int = 1024, tail_weight: float = 0.0) -> EpResult:
+def probabilistic_Ep(spectrum, M_max: int = MAX_EP_DIMS, tail_weight: float = 0.0) -> EpResult:
     """Maximal average yield over probabilistic conversions.
 
     Solves ``max sum_M p_M log2 M`` over ``p >= 0, sum p = 1`` subject to the
@@ -138,8 +141,8 @@ def probabilistic_Ep(spectrum, M_max: int = 1024, tail_weight: float = 0.0) -> E
     the result is a certified lower bound of the untruncated program.
     Optimality is verified through the dual solution.
     """
-    if M_max < 1 or M_max > 1024:
-        raise InvalidSpectrumError("M_max must be in [1, 1024]")
+    if not 1 <= M_max <= MAX_EP_DIMS:
+        raise InvalidSpectrumError(f"M_max must be in [1, {MAX_EP_DIMS}]")
     if tail_weight < -1e-12:
         raise InvalidSpectrumError("tail_weight must be non-negative")
     tail_weight = max(float(tail_weight), 0.0)
@@ -267,9 +270,9 @@ class EntanglementReport:
     E1_bits: float
     e1_cont_bits: float
     entropy_bits: float
-    Ep_bits: float | None
-    sectors: tuple[SectorWeight, ...] | None
-    diagnostics: dict
+    Ep_bits: float | None = None
+    sectors: tuple[SectorWeight, ...] | None = None
+    diagnostics: dict = field(default_factory=dict)
 
 
 def report_from_spectrum(model: ModelSpec, spec: BlockSpectrum, *,
@@ -283,11 +286,10 @@ def report_from_spectrum(model: ModelSpec, spec: BlockSpectrum, *,
     }
     ep_bits = None
     if with_Ep:
-        dims = min(int(Ep_dims), 1024)
-        vals = leading_eigenvalues(spec.mu, dims)
+        vals = leading_eigenvalues(spec.mu, Ep_dims)
         tail = max(0.0, 1.0 - float(vals.sum()))
         truncated = spec.L >= 63 or 2 ** spec.L > vals.size
-        ep = probabilistic_Ep(vals, M_max=dims, tail_weight=tail)
+        ep = probabilistic_Ep(vals, M_max=Ep_dims, tail_weight=tail)
         ep_bits = ep.Ep_bits
         diagnostics["Ep_truncated"] = bool(truncated or ep.truncated)
     sectors = None

@@ -38,22 +38,22 @@ class ModelSpec:
 
     Parameters
     ----------
+    label : str
+        Preset tag: ``xx``, ``xy``, ``ising`` or ``custom``.
     w : int
         Coupling range; couplings beyond ``w`` vanish.
     A : tuple of float
         Symmetric couplings ``A_0 .. A_w``.
     B : tuple of float
         Antisymmetric couplings ``B_1 .. B_w`` (empty for ``w = 0``).
-    label : str
-        Preset tag: ``xx``, ``xy``, ``ising`` or ``custom``.
     a, gamma : float, optional
         Preset parameters, kept for reporting when applicable.
     """
 
+    label: str
     w: int
     A: tuple[float, ...]
     B: tuple[float, ...]
-    label: str = "custom"
     a: float | None = None
     gamma: float | None = None
 
@@ -132,18 +132,18 @@ def build_model(kind: str = "custom", *, a=None, gamma=None, A=None, B=None) -> 
         if (a is not None and float(a) != 1.0) or (gamma is not None and float(gamma) != 1.0):
             raise ModelError("the ising preset fixes a=1, gamma=1")
         Ac, Bc = _xy_couplings(1.0, 1.0)
-        return ModelSpec(1, Ac, Bc, "ising", 1.0, 1.0)
+        return ModelSpec("ising", 1, Ac, Bc, 1.0, 1.0)
     if kind == "xx":
         av = _require_param("a", a)
         if gamma is not None and float(gamma) != 0.0:
             raise ModelError("the xx preset fixes gamma=0")
         Ac, Bc = _xy_couplings(av, 0.0)
-        return ModelSpec(1, Ac, Bc, "xx", av, 0.0)
+        return ModelSpec("xx", 1, Ac, Bc, av, 0.0)
     if kind == "xy":
         av = _require_param("a", a)
         gv = _require_param("gamma", gamma)
         Ac, Bc = _xy_couplings(av, gv)
-        return ModelSpec(1, Ac, Bc, "xy", av, gv)
+        return ModelSpec("xy", 1, Ac, Bc, av, gv)
     if kind == "custom":
         if A is None:
             raise ModelError("custom model needs the symmetric coupling array A")
@@ -153,7 +153,7 @@ def build_model(kind: str = "custom", *, a=None, gamma=None, A=None, B=None) -> 
             Bt = (0.0,) * w
         else:
             Bt = tuple(float(x) for x in np.atleast_1d(np.asarray(B, dtype=float))) if np.size(B) else ()
-        return ModelSpec(w, At, Bt, "custom")
+        return ModelSpec("custom", w, At, Bt)
     raise ModelError(f"unknown model kind {kind!r}")
 
 

@@ -1,7 +1,16 @@
-"""Fixed-schema JSON/CSV emission and parsing for all report types.
+"""Fixed-schema JSON/CSV emission and parsing, derived from the result dataclasses.
+
+The JSON object of a result lists its dataclass fields in declaration
+order, followed by ``"version"``. Nested dataclasses become objects, and
+tuples and arrays become lists. A field that holds its declared default
+(``None``, NaN or ``0``) is omitted, and ``from_dict`` restores it from the
+same default; a field declared with ``compare=False`` is an in-memory
+attachment, not part of the result, and is never written. So reordering or
+renaming a field changes the schema.
 
 Floats are rendered with 17 significant digits so JSON round trips are
-bit-exact; infinities become the strings "inf"/"-inf".
+bit-exact; infinities become the strings "inf"/"-inf", which ``float``
+parses back.
 """
 
 from __future__ import annotations
@@ -9,14 +18,14 @@ from __future__ import annotations
 import io
 import json
 import math
+import types
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
 from . import __version__
-from .asymptotics import SCAN_FIELDS, ScalingFit, ScanRow, ScanSeries, TwoTermFit
-from .entangle import EntanglementReport, SectorWeight
-from .model import ModelSpec, build_model
-from .oracle import OracleComparison
+from .asymptotics import SCAN_FIELDS, ScanSeries
 
 CSV_COLUMNS = ("L",) + SCAN_FIELDS
 
@@ -72,172 +81,61 @@ def dumps(obj) -> str:
     return buf.getvalue()
 
 
-def _parse_float(tok) -> float:
-    if tok == "inf":
-        return math.inf
-    if tok == "-inf":
-        return -math.inf
-    return float(tok)
+def _holds_default(value, default) -> bool:
+    if default is MISSING:
+        return False
+    return value == default or (value != value and default != default)   # NaN
 
 
-# ---------------------------------------------------------------------------
-# per-type converters
-
-def model_to_dict(model: ModelSpec) -> dict:
-    d = {"label": model.label, "w": model.w, "A": list(model.A), "B": list(model.B)}
-    if model.a is not None:
-        d["a"] = model.a
-    if model.gamma is not None:
-        d["gamma"] = model.gamma
-    return d
-
-
-def model_from_dict(d: dict) -> ModelSpec:
-    label = d.get("label", "custom")
-    if label == "custom":
-        return build_model("custom", A=d["A"], B=d.get("B"))
-    kwargs = {}
-    if "a" in d:
-        kwargs["a"] = _parse_float(d["a"])
-    if "gamma" in d:
-        kwargs["gamma"] = _parse_float(d["gamma"])
-    return build_model(label, **kwargs)
+def _encode(obj):
+    if is_dataclass(obj):
+        out = {}
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if f.compare and not _holds_default(value, f.default):
+                out[f.name] = _encode(value)
+        return out
+    if isinstance(obj, (tuple, list, np.ndarray)):
+        return [_encode(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _encode(v) for k, v in obj.items()}
+    return obj
 
 
-def report_to_dict(rep: EntanglementReport) -> dict:
-    d = {
-        "model": model_to_dict(rep.model),
-        "L": rep.L,
-        "alpha1": rep.alpha1,
-        "E1_bits": rep.E1_bits,
-        "e1_cont_bits": rep.e1_cont_bits,
-        "entropy_bits": rep.entropy_bits,
-    }
-    if rep.Ep_bits is not None:
-        d["Ep_bits"] = rep.Ep_bits
-    if rep.sectors is not None:
-        d["sectors"] = [
-            {"N": s.N, "weight": s.weight, "max_eigenvalue": s.max_eigenvalue}
-            for s in rep.sectors
-        ]
-    d["diagnostics"] = dict(rep.diagnostics)
-    d["version"] = __version__
-    return d
+def to_dict(result) -> dict:
+    """The JSON object of a result dataclass, with ``version`` last."""
+    return {**_encode(result), "version": __version__}
 
 
-def report_from_dict(d: dict) -> EntanglementReport:
-    sectors = None
-    if "sectors" in d:
-        sectors = tuple(
-            SectorWeight(int(s["N"]), _parse_float(s["weight"]), _parse_float(s["max_eigenvalue"]))
-            for s in d["sectors"]
-        )
-    diagnostics = {
-        k: (_parse_float(v) if isinstance(v, (str, float, int)) and not isinstance(v, bool) else v)
-        for k, v in d["diagnostics"].items()
-    }
-    return EntanglementReport(
-        model=model_from_dict(d["model"]),
-        L=int(d["L"]),
-        alpha1=_parse_float(d["alpha1"]),
-        E1_bits=_parse_float(d["E1_bits"]),
-        e1_cont_bits=_parse_float(d["e1_cont_bits"]),
-        entropy_bits=_parse_float(d["entropy_bits"]),
-        Ep_bits=_parse_float(d["Ep_bits"]) if "Ep_bits" in d else None,
-        sectors=sectors,
-        diagnostics=diagnostics,
-    )
+report_to_dict = scan_to_dict = comparison_to_dict = to_dict
 
 
-def _row_to_dict(row: ScanRow) -> dict:
-    d = {col: getattr(row, col) for col in CSV_COLUMNS}
-    if row.error is not None:
-        d["error"] = row.error
-    return d
+def _decode(tp, value):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if is_dataclass(tp):
+        return from_dict(tp, value)
+    if origin is types.UnionType:                    # X | None
+        (inner,) = (a for a in args if a is not type(None))
+        return None if value is None else _decode(inner, value)
+    if origin is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(_decode(args[0], v) for v in value)
+        return tuple(_decode(a, v) for a, v in zip(args, value, strict=True))
+    if tp is np.ndarray:
+        return np.array([float(x) for x in value])
+    if tp is dict:                                   # diagnostics: floats and flags
+        return {k: v if isinstance(v, bool) else float(v) for k, v in value.items()}
+    return tp(value)
 
 
-def scan_to_dict(series: ScanSeries) -> dict:
-    return {
-        "model": model_to_dict(series.model),
-        "grid": list(series.grid),
-        "rows": [_row_to_dict(r) for r in series.rows],
-        "version": __version__,
-    }
+def from_dict(cls, d: dict):
+    """Inverse of :func:`to_dict` for the dataclass ``cls``; omitted fields take their defaults."""
+    hints = typing.get_type_hints(cls)
+    return cls(**{f.name: _decode(hints[f.name], d[f.name]) for f in fields(cls) if f.name in d})
 
 
 def scan_from_dict(d: dict) -> ScanSeries:
-    rows = [
-        ScanRow(L=int(rd["L"]), **{f: _parse_float(rd[f]) for f in SCAN_FIELDS},
-                error=rd.get("error"))
-        for rd in d["rows"]
-    ]
-    return ScanSeries(
-        model=model_from_dict(d["model"]),
-        grid=tuple(int(x) for x in d["grid"]),
-        rows=tuple(rows),
-    )
-
-
-def fit_to_dict(fit: ScalingFit) -> dict:
-    d = {
-        "quantity": fit.quantity,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "rms_residual": fit.rms_residual,
-        "grid_range": list(fit.grid_range),
-    }
-    if fit.two_term is not None:
-        d["two_term"] = {"a": fit.two_term.a, "b": fit.two_term.b, "c": fit.two_term.c}
-    if fit.predicted_slope is not None:
-        d["predicted_slope"] = fit.predicted_slope
-    if fit.n_excluded:
-        d["n_excluded"] = fit.n_excluded
-    d["version"] = __version__
-    return d
-
-
-def fit_from_dict(d: dict) -> ScalingFit:
-    two = None
-    if "two_term" in d:
-        t = d["two_term"]
-        two = TwoTermFit(_parse_float(t["a"]), _parse_float(t["b"]), _parse_float(t["c"]))
-    return ScalingFit(
-        quantity=d["quantity"],
-        slope=_parse_float(d["slope"]),
-        intercept=_parse_float(d["intercept"]),
-        rms_residual=_parse_float(d["rms_residual"]),
-        grid_range=(int(d["grid_range"][0]), int(d["grid_range"][1])),
-        two_term=two,
-        predicted_slope=_parse_float(d["predicted_slope"]) if "predicted_slope" in d else None,
-        n_excluded=int(d.get("n_excluded", 0)),
-    )
-
-
-def comparison_to_dict(cmp: OracleComparison) -> dict:
-    return {
-        "n": cmp.n,
-        "L": cmp.L,
-        "gap": cmp.gap,
-        "max_abs_diff": cmp.max_abs_diff,
-        "spectra": [list(map(float, cmp.spectra[0])), list(map(float, cmp.spectra[1]))],
-        "method_pair": cmp.method_pair,
-        "defect": cmp.defect,
-        "version": __version__,
-    }
-
-
-def comparison_from_dict(d: dict) -> OracleComparison:
-    a = np.array([_parse_float(x) for x in d["spectra"][0]])
-    b = np.array([_parse_float(x) for x in d["spectra"][1]])
-    return OracleComparison(
-        n=int(d["n"]),
-        L=int(d["L"]),
-        gap=_parse_float(d["gap"]),
-        max_abs_diff=_parse_float(d["max_abs_diff"]),
-        spectra=(a, b),
-        method_pair=d["method_pair"],
-        defect=bool(d["defect"]),
-    )
+    return from_dict(ScanSeries, d)
 
 
 def scan_to_csv(series: ScanSeries) -> str:

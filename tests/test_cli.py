@@ -9,20 +9,18 @@ import pytest
 from singlecopy import __version__
 from singlecopy.cli import run
 from singlecopy.model import build_model
-from singlecopy.entangle import report
-from singlecopy.oracle import compare_oracle
-from singlecopy.asymptotics import fh_slope, geometric_grid, scan
+from singlecopy.entangle import EntanglementReport, report
+from singlecopy.oracle import OracleComparison, compare_oracle
+from singlecopy.asymptotics import ScalingFit, ScanRow, ScanSeries, fh_slope, geometric_grid, scan
 from singlecopy.serialize import (
-    comparison_from_dict,
     comparison_to_dict,
     dumps,
-    fit_from_dict,
-    fit_to_dict,
-    report_from_dict,
+    from_dict,
     report_to_dict,
     scan_from_dict,
     scan_to_csv,
     scan_to_dict,
+    to_dict,
 )
 
 
@@ -110,6 +108,27 @@ def test_usage_errors_exit_1(capsys):
     code, _, err = run_cli(["scan", "--model", "xx", "--a", "2",
                             "--L-min", "32", "--L-max", "8"], capsys)
     assert code == 1
+    code, _, err = run_cli(["analyze", "--model", "xx", "--a", "2", "--L", "8",
+                            "--config", "cfg.json"], capsys)  # removed flag
+    assert code == 1
+
+
+@pytest.mark.parametrize("dims", ["0", "1025", "5000"])
+def test_ep_dims_out_of_range_is_usage_error(dims, capsys):
+    code, out, err = run_cli(["analyze", "--model", "xx", "--a", "2", "--L", "8",
+                              "--with-ep", "--ep-dims", dims], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--ep-dims must be in [1, 1024]" in err
+
+
+def test_two_term_with_determinant_fit_is_usage_error(capsys):
+    code, out, err = run_cli(["fit", "--model", "xx", "--a", "2", "--L-min", "16",
+                              "--L-max", "64", "--quantity", "neg_ln_absdet_T",
+                              "--two-term"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--two-term" in err
 
 
 def test_numerical_failure_exit_2(capsys):
@@ -129,11 +148,11 @@ def test_usage_error_writes_no_partial_file(tmp_path, capsys):
 
 
 def test_out_file_and_config(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": "xx", "a": 2.0, "L": 12}))
     out = tmp_path / "report.json"
-    code, _, _ = run_cli(["analyze", "--config", str(cfg), "--out", str(out)], capsys)
+    code, stdout, _ = run_cli(["analyze", "--model", "xx", "--a", "2", "--L", "12",
+                               "--out", str(out)], capsys)
     assert code == 0
+    assert stdout == ""
     payload = json.loads(out.read_text())
     assert payload["L"] == 12
 
@@ -161,7 +180,7 @@ def test_deterministic_output():
 
 def test_report_round_trip_bit_exact():
     rep = report(build_model("xx", a=2), 10, with_Ep=True, with_sectors=True)
-    parsed = report_from_dict(json.loads(dumps(report_to_dict(rep))))
+    parsed = from_dict(EntanglementReport, json.loads(dumps(report_to_dict(rep))))
     assert parsed.L == rep.L
     assert parsed.alpha1 == rep.alpha1          # bit-exact through 17 digits
     assert parsed.E1_bits == rep.E1_bits
@@ -170,7 +189,7 @@ def test_report_round_trip_bit_exact():
     assert parsed.Ep_bits == rep.Ep_bits
     assert parsed.model == rep.model
     assert [s.weight for s in parsed.sectors] == [s.weight for s in rep.sectors]
-    assert parsed.diagnostics["ln_absdet_T"] == rep.diagnostics["ln_absdet_T"]
+    assert parsed.diagnostics == rep.diagnostics
 
 
 def test_scan_round_trip():
@@ -182,8 +201,6 @@ def test_scan_round_trip():
 
 
 def test_minus_inf_round_trips_as_string():
-    from singlecopy.asymptotics import ScanRow, ScanSeries
-
     row = ScanRow(L=3, e1_cont_bits=3.0, E1_bits=3.0, entropy_bits=3.0,
                   ln_absdet_T=-math.inf, rms_term_bits=1.5)
     series = ScanSeries(build_model("xx", a=2), (3,), (row,))
@@ -197,18 +214,76 @@ def test_minus_inf_round_trips_as_string():
 
 def test_fit_round_trip():
     fit = fh_slope(scan(build_model("xx", a=2), geometric_grid(32, 128)))
-    parsed = fit_from_dict(json.loads(dumps(fit_to_dict(fit))))
+    parsed = from_dict(ScalingFit, json.loads(dumps(to_dict(fit))))
     assert parsed == fit
 
 
 def test_comparison_round_trip():
     cmp = compare_oracle(build_model("xx", a=2), 10, 5)
-    parsed = comparison_from_dict(json.loads(dumps(comparison_to_dict(cmp))))
+    parsed = from_dict(OracleComparison, json.loads(dumps(comparison_to_dict(cmp))))
     assert parsed.n == cmp.n and parsed.L == cmp.L
     assert parsed.gap == cmp.gap
     assert parsed.max_abs_diff == cmp.max_abs_diff
     assert np.array_equal(parsed.spectra[0], cmp.spectra[0])
     assert np.array_equal(parsed.spectra[1], cmp.spectra[1])
+
+
+def test_failed_scan_row_round_trips():
+    ok = ScanRow(L=4, e1_cont_bits=1.0, E1_bits=1.0, entropy_bits=2.0,
+                 ln_absdet_T=-0.5, rms_term_bits=0.25)
+    series = ScanSeries(build_model("xx", a=2), (3, 4), (ScanRow(L=3, error="boom"), ok))
+    payload = json.loads(dumps(scan_to_dict(series)))
+    assert payload["rows"][0] == {"L": 3, "error": "boom"}
+    parsed = scan_from_dict(payload)
+    assert parsed == series
+    assert parsed.rows[0].error == "boom"
+    assert all(math.isnan(getattr(parsed.rows[0], f)) for f in
+               ("e1_cont_bits", "E1_bits", "entropy_bits", "ln_absdet_T", "rms_term_bits"))
+
+
+def _key_tree(obj):
+    """Keys of a JSON value in order, with lists of objects reduced to their first element."""
+    if isinstance(obj, dict):
+        return [(k, _key_tree(v)) for k, v in obj.items()]
+    if isinstance(obj, list) and obj and isinstance(obj[0], dict):
+        return [_key_tree(obj[0])]
+    return None
+
+
+MODEL_KEYS = ("model", [("label", None), ("w", None), ("A", None), ("B", None),
+                        ("a", None), ("gamma", None)])
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["analyze", "--model", "xx", "--a", "2", "--L", "6", "--with-ep", "--with-sectors"],
+     [MODEL_KEYS, ("L", None), ("alpha1", None), ("E1_bits", None),
+      ("e1_cont_bits", None), ("entropy_bits", None), ("Ep_bits", None),
+      ("sectors", [[("N", None), ("weight", None), ("max_eigenvalue", None)]]),
+      ("diagnostics", [("ln_absdet_T", None), ("rms_term_bits", None),
+                       ("Ep_truncated", None)]),
+      ("version", None)]),
+    (["fit", "--model", "xx", "--a", "2", "--L-min", "16", "--L-max", "64",
+      "--quantity", "entropy_bits", "--two-term"],
+     [("quantity", None), ("slope", None), ("intercept", None), ("rms_residual", None),
+      ("grid_range", None), ("two_term", [("a", None), ("b", None), ("c", None)]),
+      ("version", None)]),
+    (["fit", "--model", "xx", "--a", "2", "--L-min", "16", "--L-max", "64",
+      "--quantity", "neg_ln_absdet_T"],
+     [("quantity", None), ("slope", None), ("intercept", None), ("rms_residual", None),
+      ("grid_range", None), ("predicted_slope", None), ("version", None)]),
+    (["oracle", "--model", "xx", "--a", "2", "--n", "10", "--L", "5"],
+     [("n", None), ("L", None), ("gap", None), ("max_abs_diff", None), ("spectra", None),
+      ("method_pair", None), ("defect", None), ("version", None)]),
+    (["scan", "--model", "xx", "--a", "2", "--L-min", "8", "--L-max", "16"],
+     [MODEL_KEYS, ("grid", None),
+      ("rows", [[("L", None), ("e1_cont_bits", None), ("E1_bits", None),
+                 ("entropy_bits", None), ("ln_absdet_T", None), ("rms_term_bits", None)]]),
+      ("version", None)]),
+])
+def test_json_key_order(argv, keys, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert _key_tree(json.loads(out)) == keys
 
 
 def test_csv_renders_17_digits():

@@ -265,3 +265,9 @@ def test_report_ordering_and_diagnostics():
 def test_report_skips_sectors_for_anisotropic():
     rep = report(build_model("ising"), 6, with_sectors=True)
     assert rep.sectors is None
+
+
+@pytest.mark.parametrize("dims", [0, 1025])
+def test_report_rejects_out_of_range_ep_dims(dims):
+    with pytest.raises(InvalidSpectrumError):
+        report(XX2, 12, with_Ep=True, Ep_dims=dims)

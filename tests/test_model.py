@@ -41,7 +41,7 @@ def test_build_model_rejects_bad_input():
     with pytest.raises(ModelError):
         build_model("xy", a=1, gamma=math.nan)
     with pytest.raises(ModelError):
-        ModelSpec(w=1, A=(1.0,), B=())  # wrong lengths
+        ModelSpec(label="custom", w=1, A=(1.0,), B=())  # wrong lengths
 
 
 def test_symbol_values():

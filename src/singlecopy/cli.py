@@ -50,12 +50,6 @@ def _add_model_flags(p):
     p.add_argument("--B", type=_csv_floats, default=None, metavar="v1,v2,...")
 
 
-def _add_common_flags(p):
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--out", default=None, metavar="PATH")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-
 def _add_grid_flags(p):
     p.add_argument("--L-min", type=int, default=64)
     p.add_argument("--L-max", type=int, default=2048)
@@ -69,7 +63,6 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("analyze", help="entanglement report for one block length")
     _add_model_flags(p)
-    _add_common_flags(p)
     p.add_argument("--L", type=int, required=False)
     p.add_argument("--with-ep", action="store_true")
     p.add_argument("--with-sectors", action="store_true")
@@ -77,12 +70,10 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("scan", help="scan a geometric grid of block lengths")
     _add_model_flags(p)
-    _add_common_flags(p)
     _add_grid_flags(p)
 
     p = subs.add_parser("fit", help="scan, then fit a quantity against log2(L)")
     _add_model_flags(p)
-    _add_common_flags(p)
     _add_grid_flags(p)
     p.add_argument("--quantity", default="e1_cont_bits",
                    choices=SCAN_FIELDS + ("neg_ln_absdet_T",))
@@ -90,17 +81,22 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("oracle", help="cross-validate Gaussian vs exact methods")
     _add_model_flags(p)
-    _add_common_flags(p)
     p.add_argument("--n", type=int, required=False)
     p.add_argument("--L", type=int, required=False)
     p.add_argument("--pair", choices=("gaussian-vs-ed", "gaussian-vs-thermodynamic"),
                    default="gaussian-vs-ed")
 
     p = subs.add_parser("check", help="built-in self checks")
-    _add_common_flags(p)
-    p.add_argument("--integral", action="store_true")
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--majorization", action="store_true")
+    for name in CHECKS:
+        p.add_argument(f"--{name}", action="store_true")
+
+    # each subcommand takes only the flags it reads
+    for name, p in subs.choices.items():
+        if name in ("analyze", "scan", "fit"):
+            p.add_argument("--tol", type=float, default=1e-12)
+        p.add_argument("--out", default=None, metavar="PATH")
+        if name != "check":
+            p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
@@ -191,64 +187,63 @@ def _cmd_oracle(args):
     return EXIT_OK
 
 
-def _check_integral(lines):
+def check_integral():
+    """The scaling integral against its closed form -1/6."""
     ic = integral_check(1e-10)
     ok = abs(ic.value_natural_log + 1.0 / 6.0) <= 1e-9
-    lines.append(("integral", ok,
-                  f"value={ic.value_natural_log:.12f} target=-1/6"))
-    return ok
+    return ok, (f"value={ic.value_natural_log:.12f} target=-1/6"
+                f" (diff {abs(ic.value_natural_log + 1.0 / 6.0):.2e})")
 
 
-def _check_oracle(lines):
-    ok = True
-    for kind, kwargs, n, L in (("xx", {"a": 2.0}, 10, 5), ("ising", {}, 9, 3)):
-        cmp = compare_oracle(build_model(kind, **kwargs), n, L, "gaussian-vs-ed")
-        good = cmp.max_abs_diff < 1e-8 and cmp.gap > 1e-6
-        ok = ok and good
-        lines.append((f"oracle-{kind}", good,
-                      f"n={n} L={L} diff={cmp.max_abs_diff:.2e} gap={cmp.gap:.2e}"))
-    return ok
+def check_oracle():
+    """Finite Gaussian chain against exact diagonalization for xx(2) and ising."""
+    results = [(kind, compare_oracle(build_model(kind, **kwargs), n, L, "gaussian-vs-ed"))
+               for kind, kwargs, n, L in (("xx", {"a": 2.0}, 10, 5), ("ising", {}, 9, 3))]
+    ok = all(c.max_abs_diff < 1e-8 and c.gap > 1e-6 for _, c in results)
+    return ok, "; ".join(f"{kind} n={c.n} L={c.L}: diff={c.max_abs_diff:.2e} gap={c.gap:.2e}"
+                         for kind, c in results)
 
 
-def _check_majorization(lines):
-    rng = np.random.default_rng(7)
-    ok = True
-    for _ in range(200):
-        d = int(rng.integers(1, 17))
-        vals = np.sort(rng.random(d))[::-1]
-        vals /= vals.sum()
-        sc = single_copy_E1(float(vals[0]))
-        feasible = [m for m in range(1, d + 2) if nielsen_transformable(vals, m)]
-        if max(feasible) != sc.M_max:
-            ok = False
-            break
-        ep = probabilistic_Ep(vals)
-        entropy = float(-(vals * np.log2(vals, where=vals > 0,
+def check_majorization():
+    """Nielsen's criterion against the E1 floor on 10^4 random spectra, and
+    E1 <= Ep <= S on 10^3 more (d <= 32, seed 20240917)."""
+    rng = np.random.default_rng(20240917)
+
+    def spectrum():
+        vals = np.sort(rng.random(int(rng.integers(1, 33))))[::-1]
+        return vals / vals.sum()
+
+    mismatches = 0
+    for _ in range(10_000):
+        vals = spectrum()
+        m_best = 0
+        for m in range(1, vals.size + 2):
+            if not nielsen_transformable(vals, m):
+                break
+            m_best = m
+        mismatches += m_best != single_copy_E1(float(vals[0])).M_max
+    ep_bad = 0
+    for _ in range(1_000):
+        vals = spectrum()
+        ep = probabilistic_Ep(vals).Ep_bits
+        shannon = float(-(vals * np.log2(vals, where=vals > 0,
                                          out=np.zeros_like(vals))).sum())
-        if not (sc.E1_bits - 1e-9 <= ep.Ep_bits <= entropy + 1e-9):
-            ok = False
-            break
-    lines.append(("majorization", ok, "200 random spectra"))
-    return ok
+        ep_bad += not (single_copy_E1(float(vals[0])).E1_bits - 1e-9 <= ep <= shannon + 1e-9)
+    return mismatches == 0 and ep_bad == 0, (
+        f"nielsen-vs-floor mismatches: {mismatches}/10000;"
+        f" Ep sandwich violations: {ep_bad}/1000")
+
+
+CHECKS = {"integral": check_integral, "oracle": check_oracle,
+          "majorization": check_majorization}
 
 
 def _cmd_check(args):
-    wanted = [name for name, flag in (("integral", args.integral),
-                                      ("oracle", args.oracle),
-                                      ("majorization", args.majorization)) if flag]
-    if not wanted:
-        wanted = ["integral", "oracle", "majorization"]
-    lines = []
-    all_ok = True
-    for name in wanted:
-        runner = {"integral": _check_integral, "oracle": _check_oracle,
-                  "majorization": _check_majorization}[name]
-        all_ok = runner(lines) and all_ok
-    text = "".join(
-        f"[{name}] {'PASS' if good else 'FAIL'} {detail}\n" for name, good, detail in lines
-    )
-    _emit_text(text, args.out)
-    return EXIT_OK if all_ok else EXIT_CHECK
+    wanted = [name for name in CHECKS if getattr(args, name)] or list(CHECKS)
+    results = [(name, *CHECKS[name]()) for name in wanted]
+    _emit_text("".join(f"[{name}] {'PASS' if ok else 'FAIL'} {detail}\n"
+                       for name, ok, detail in results), args.out)
+    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_CHECK
 
 
 _COMMANDS = {

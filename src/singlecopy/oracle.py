@@ -7,9 +7,10 @@ open chain:
   the orthogonal polar factor of the 2n x 2n Majorana quadratic form, from
   one SVD; zero modes are left at half filling and mark the state
   degenerate.
-* ``exact_diag_ground`` builds the dense 2^n x 2^n Hamiltonian in the
-  occupation basis with fermionic sign bookkeeping and reduces the ground
-  vector directly; it refuses degenerate ground states.
+* ``exact_diag_ground`` builds the 2^n x 2^n Hamiltonian as the
+  Jordan-Wigner operator sum of the coupling table, solves it densely for
+  the two lowest states only, and reduces the ground vector directly; it
+  refuses degenerate ground states.
 
 Open boundaries keep the fermionic picture exact (no boundary strings or
 parity corrections); blocks are centered to suppress edge effects, and the
@@ -19,11 +20,13 @@ data, which ``compare_oracle`` measures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .entangle import leading_eigenvalues
 from .errors import DecompositionError, DegenerateGroundStateError, ModelError
@@ -88,70 +91,59 @@ def finite_gaussian_ground(model: ModelSpec, n: int, L: int) -> BlockSpectrum:
     return _gaussian_block(model, n, L)[0]
 
 
-def _occupations(n: int):
-    states = np.arange(1 << n)
-    bits = (n - 1) - np.arange(n)                      # site i lives at bit n-1-i
-    occ = (states[:, None] >> bits[None, :]) & 1
-    prefix = np.concatenate(
-        [np.zeros((states.size, 1), dtype=np.int64), np.cumsum(occ, axis=1)], axis=1
-    )
-    return states, occ.astype(np.int64), prefix
+def _annihilators(n: int) -> list:
+    """Jordan-Wigner annihilators ``c_j = Z x ... x Z x s- x 1 x ... x 1``.
+
+    Site 0 is the leftmost factor (the most significant bit), so a centered
+    contiguous block is a contiguous tensor factor.
+    """
+    string = scipy.sparse.diags([1.0, -1.0])                   # (-1)^{n_i}
+    lower = scipy.sparse.csr_matrix([[0.0, 1.0], [0.0, 0.0]])  # |filled> -> |empty>
+    one = scipy.sparse.identity(2)
+    kron = functools.partial(scipy.sparse.kron, format="csr")   # no dense blocks
+    return [functools.reduce(kron, [string] * j + [lower] + [one] * (n - 1 - j))
+            for j in range(n)]
 
 
 def fock_hamiltonian(model: ModelSpec, n: int) -> np.ndarray:
     """Dense 2^n x 2^n Hamiltonian in the occupation-number basis.
 
-    Site ordering puts earlier sites on more significant bits, so a centered
-    contiguous block is a contiguous tensor factor; operator signs follow
-    the usual ordering of fermionic modes along the chain.
+    The Jordan-Wigner operator sum ``A_0 sum_j c_j^dag c_j + sum_{j != k}
+    a c_j^dag c_k + b (c_j^dag c_k^dag - c_j c_k)`` over the coupling table,
+    with ``a = A_|j-k|`` and ``b = sign(j-k) B_|j-k|``; it does not go
+    through ``chain_quadratic_form``.
     """
     if n < 1 or n > 12:
         raise ModelError("exact diagonalization limited to n <= 12")
-    states, occ, prefix = _occupations(n)
-    dim = states.size
-    H = np.zeros((dim, dim))
-    H[states, states] += model.A[0] * occ.sum(axis=1)
-
+    c = _annihilators(n)
+    cdag = [op.T.tocsr() for op in c]
+    H = model.A[0] * sum(cdag[j] @ c[j] for j in range(n))
     for j in range(n):
-        for k in range(n):
+        for k in range(max(0, j - model.w), min(n, j + model.w + 1)):
             d = j - k
-            if d == 0 or abs(d) > model.w:
+            if d == 0:
                 continue
             a = model.A[abs(d)]
             b = math.copysign(1.0, d) * model.B[abs(d) - 1]
-            bit_j = 1 << (n - 1 - j)
-            bit_k = 1 << (n - 1 - k)
             if a != 0.0:
-                # a_j^dag a_k on states with site k filled, site j empty
-                mask = (occ[:, k] == 1) & (occ[:, j] == 0)
-                src = states[mask]
-                sign = (-1.0) ** (prefix[mask, k] + prefix[mask, j] - (k < j))
-                H[src ^ bit_k | bit_j, src] += a * sign
+                H = H + a * (cdag[j] @ c[k])
             if b != 0.0:
-                # b * a_j^dag a_k^dag on doubly empty pairs
-                mask = (occ[:, j] == 0) & (occ[:, k] == 0)
-                src = states[mask]
-                sign = (-1.0) ** (prefix[mask, k] + prefix[mask, j] + (k < j))
-                H[src | bit_k | bit_j, src] += b * sign
-                # -b * a_j a_k on doubly filled pairs
-                mask = (occ[:, j] == 1) & (occ[:, k] == 1)
-                src = states[mask]
-                sign = (-1.0) ** (prefix[mask, k] + prefix[mask, j] - (k < j))
-                H[src ^ bit_k ^ bit_j, src] -= b * sign
-
-    if np.abs(H - H.T).max() > 1e-12 * max(1.0, np.abs(H).max()):
+                H = H + b * (cdag[j] @ cdag[k] - c[j] @ c[k])
+    if abs(H - H.T).max() > 1e-12 * max(1.0, abs(H).max()):
         raise DecompositionError("Fock-space Hamiltonian failed the symmetry check")
-    return H
+    return H.toarray()
 
 
 def _ed_ground(model: ModelSpec, n: int):
-    """(eigenvalues, ground vector) of the dense Fock-space Hamiltonian.
+    """(two lowest eigenvalues, ground vector) of the Fock-space Hamiltonian.
 
-    Refuses numerically degenerate ground states: comparing an arbitrary
-    vector from a degenerate space against the Gaussian convention would
-    produce spurious mismatches.
+    A dense LAPACK solve for the two lowest states only: it resolves the
+    multiplicity of a degenerate ground level, which a single-vector Krylov
+    solve can miss.  Refuses numerically degenerate ground states: comparing
+    an arbitrary vector from a degenerate space against the Gaussian
+    convention would produce spurious mismatches.
     """
-    evals, evecs = np.linalg.eigh(fock_hamiltonian(model, n))
+    evals, evecs = scipy.linalg.eigh(fock_hamiltonian(model, n), subset_by_index=[0, 1])
     gap = float(evals[1] - evals[0])
     if gap <= _ED_GAP_TOL:
         raise DegenerateGroundStateError(

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 The three production scans are shared module-level fixtures; every other
-criterion is an exact property or oracle check.  Run with ``pytest -s`` to
+criterion is an exact property or oracle check.  Criteria 6, 7 and 9 run the
+checks of ``singlecopy check`` and add only their own extras (the elapsed-time
+bound, the dilogarithm oracle).  Run with ``pytest -s`` to
 see the per-criterion lines.
 """
 
@@ -15,22 +17,16 @@ from scipy.special import spence
 
 from singlecopy.model import build_model
 from singlecopy.toeplitz import build_T, block_spectrum
-from singlecopy.entangle import (
-    nielsen_transformable,
-    probabilistic_Ep,
-    sector_decompose,
-    single_copy_E1,
-)
-from singlecopy.oracle import compare_oracle
+from singlecopy.entangle import sector_decompose
 from singlecopy.asymptotics import (
     bound_chain,
     fh_slope,
     fit_log,
     geometric_grid,
-    integral_check,
     saturation_test,
     scan,
 )
+from singlecopy.cli import check_integral, check_majorization, check_oracle
 
 XX2 = build_model("xx", a=2)
 XY = build_model("xy", a=2, gamma=0.5)
@@ -100,14 +96,9 @@ def test_criterion_5_ising_divergence(ising_scan):
 
 def test_criterion_6_oracle_equivalence():
     t0 = time.time()
-    results = []
-    for model, n, L in ((XX2, 10, 5), (ISING, 9, 3)):
-        cmp = compare_oracle(model, n, L, "gaussian-vs-ed")
-        results.append((model.label, cmp))
+    ok, detail = check_oracle()
     elapsed = time.time() - t0
-    ok = all(c.max_abs_diff < 1e-8 and c.gap > 1e-6 for _, c in results) and elapsed < 120.0
-    detail = "; ".join(f"{lbl}: diff={c.max_abs_diff:.2e} gap={c.gap:.2e}" for lbl, c in results)
-    _report(6, ok, f"{detail}; took {elapsed:.1f}s")
+    _report(6, ok and elapsed < 120.0, f"{detail}; took {elapsed:.1f}s")
 
 
 def test_criterion_7_integral_identity():
@@ -115,10 +106,7 @@ def test_criterion_7_integral_identity():
     ln2 = math.log(2.0)
     oracle_half = 0.5 * (-ln2 ** 2 / 2.0 - float(spence(0.5)))
     assert oracle_half == pytest.approx(-math.pi ** 2 / 24.0, abs=1e-13)
-    ic = integral_check(1e-10)
-    ok = abs(ic.value_natural_log - (-1.0 / 6.0)) <= 1e-9
-    _report(7, ok, f"integral={ic.value_natural_log:.12f} vs -1/6"
-                   f" (diff {abs(ic.value_natural_log + 1/6):.2e})")
+    _report(7, *check_integral())
 
 
 def test_criterion_8_bound_chain_over_all_spectra(xx_scan, xy_scan, ising_scan):
@@ -137,34 +125,7 @@ def test_criterion_8_bound_chain_over_all_spectra(xx_scan, xy_scan, ising_scan):
 
 
 def test_criterion_9_majorization_equivalence():
-    rng = np.random.default_rng(20240917)
-    mismatches = 0
-    for _ in range(10_000):
-        d = int(rng.integers(1, 33))
-        vals = np.sort(rng.random(d))[::-1]
-        vals /= vals.sum()
-        m_floor = single_copy_E1(float(vals[0])).M_max
-        m_best = 0
-        for m in range(1, d + 2):
-            if nielsen_transformable(vals, m):
-                m_best = m
-            else:
-                break
-        if m_best != m_floor:
-            mismatches += 1
-    ep_bad = 0
-    for _ in range(1_000):
-        d = int(rng.integers(1, 33))
-        vals = np.sort(rng.random(d))[::-1]
-        vals /= vals.sum()
-        e1 = single_copy_E1(float(vals[0])).E1_bits
-        ep = probabilistic_Ep(vals).Ep_bits
-        shannon = float(-(vals * np.log2(vals)).sum())
-        if not (e1 - 1e-9 <= ep <= shannon + 1e-9):
-            ep_bad += 1
-    ok = mismatches == 0 and ep_bad == 0
-    _report(9, ok, f"nielsen-vs-floor mismatches: {mismatches}/10000;"
-                   f" Ep sandwich violations: {ep_bad}/1000")
+    _report(9, *check_majorization())
 
 
 def test_criterion_10_determinant_slope(xx_scan):

@@ -113,6 +113,18 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--integral", "--format", "csv"],
+    ["check", "--integral", "--tol", "5"],
+    ["oracle", "--model", "xx", "--a", "2", "--n", "10", "--L", "5", "--tol", "1e-2"],
+], ids=["check-format", "check-tol", "oracle-tol"])
+def test_flags_a_subcommand_ignores_are_usage_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 @pytest.mark.parametrize("dims", ["0", "1025", "5000"])
 def test_ep_dims_out_of_range_is_usage_error(dims, capsys):
     code, out, err = run_cli(["analyze", "--model", "xx", "--a", "2", "--L", "8",

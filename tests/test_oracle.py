@@ -18,6 +18,7 @@ XX2 = build_model("xx", a=2)
 ISING = build_model("ising")
 XY = build_model("xy", a=2, gamma=0.5)
 CONST = build_model("custom", A=(1,))
+W2 = build_model("custom", A=(0.3, -1.0, 0.4), B=(0.35, -0.2))
 
 
 def test_quadratic_form_is_skew():
@@ -33,6 +34,13 @@ def test_product_state_chain():
     assert np.allclose(exact_diag_ground(CONST, 2, 1), [1.0, 0.0])
 
 
+def _subset_sums(energies):
+    return np.sort([
+        sum(e for e, pick in zip(energies, picks) if pick)
+        for picks in itertools.product((False, True), repeat=len(energies))
+    ])
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_fock_spectrum_equals_subset_sums(n):
     # B = 0: many-body energies are all subset sums of hopping eigenvalues
@@ -44,11 +52,13 @@ def test_fock_spectrum_equals_subset_sums(n):
             if abs(j - k) <= XX2.w:
                 hop[j, k] = XX2.A[abs(j - k)]
     eps = np.linalg.eigvalsh(hop)
-    subset = np.sort([
-        sum(e for e, pick in zip(eps, picks) if pick)
-        for picks in itertools.product((False, True), repeat=n)
-    ])
-    assert np.abs(many_body - subset).max() < 1e-9
+    assert np.abs(many_body - _subset_sums(eps)).max() < 1e-9
+    # any B: excitation energies are the subset sums of the normal-mode
+    # energies, the singular values of the quadratic form (each twice)
+    for model in (XX2, ISING, XY, W2):
+        many_body = np.sort(np.linalg.eigvalsh(fock_hamiltonian(model, n)))
+        modes = np.linalg.svd(chain_quadratic_form(model, n), compute_uv=False)[0::2]
+        assert np.abs(many_body - many_body[0] - _subset_sums(modes)).max() < 1e-9
 
 
 def test_ground_vector_has_single_occupation_sector():
@@ -83,13 +93,20 @@ def test_purity_at_full_block():
         assert exact_diag_ground(model, n, n)[0] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_degenerate_chain_is_refused():
-    # open xx(2) with n = 8 has an exact zero mode (n + 1 divisible by 3)
+@pytest.mark.parametrize("model,n", [
+    (XX2, 8),     # open xx(2) with n = 8 has an exact zero mode (n + 1 divisible by 3)
+    # exact zero modes that a single-vector Krylov solve misses (gap > 1e-8)
+    (build_model("custom", A=(0.5, 0, 0, 0.5)), 5),
+    (build_model("custom", A=(-1, -0.5, -0.5)), 9),
+    (build_model("custom", A=(1, 0, -0.5, -0.5)), 5),
+], ids=["xx2-n8", "w3-n5", "w2-n9", "w3b-n5"])
+def test_degenerate_chain_is_refused(model, n):
+    L = n // 2
     with pytest.raises(DegenerateGroundStateError):
-        exact_diag_ground(XX2, 8, 4)
-    s = finite_gaussian_ground(XX2, 8, 4)
+        exact_diag_ground(model, n, L)
+    s = finite_gaussian_ground(model, n, L)
     assert s.degenerate
-    assert compare_oracle(XX2, 8, 4, "gaussian-vs-thermodynamic").gap < 1e-10
+    assert compare_oracle(model, n, L, "gaussian-vs-thermodynamic").gap < 1e-10
 
 
 def test_thermodynamic_convergence():

@@ -26,7 +26,6 @@ from .toeplitz import (
     ToeplitzCoeffs,
     block_spectrum,
     build_T,
-    build_gamma,
     coefficient_table,
     spectrum_from_singular_values,
 )

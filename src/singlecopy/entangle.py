@@ -137,9 +137,11 @@ def probabilistic_Ep(spectrum, M_max: int = MAX_EP_DIMS, tail_weight: float = 0.
 
     ``tail_weight`` is the aggregated weight of eigenvalues past the supplied
     top of the spectrum; it is added to every right-hand side (exact for the
-    listed tail positions) while targets are capped at the listed length, so
-    the result is a certified lower bound of the untruncated program.
-    Optimality is verified through the dual solution.
+    listed tail positions) while targets are capped at the listed length.
+    HiGHS runs at its default feasibility tolerance (1e-7 per row), so the
+    optimum may break a tail-sum row by that much and overstate the
+    truncated program's value by about as much (6e-8 bits for ising at
+    L=256 with 1024 dims). Optimality is verified through the dual solution.
     """
     if not 1 <= M_max <= MAX_EP_DIMS:
         raise InvalidSpectrumError(f"M_max must be in [1, {MAX_EP_DIMS}]")

@@ -192,11 +192,6 @@ def dispersion(model: ModelSpec, k):
     return _lam_derivative(model, k, 0)
 
 
-def dispersion_derivative(model: ModelSpec, k):
-    """d lam / dk, same broadcasting as :func:`dispersion`."""
-    return _lam_derivative(model, k, 1)
-
-
 def symbol_eval(model: ModelSpec, k):
     """Unimodular symbol ``g(k) = lam(k)/|lam(k)|``.
 
@@ -226,7 +221,7 @@ def _polish_zero(model, k0):
     k = k0
     for _ in range(8):
         lam = dispersion(model, k)
-        dlam = dispersion_derivative(model, k)
+        dlam = _lam_derivative(model, k, 1)
         denom = (dlam.conjugate() * dlam).real
         if denom < 1e-30:
             break

@@ -1,10 +1,11 @@
 """Symbol Fourier coefficients, Toeplitz blocks, and their singular spectra.
 
 The coefficients ``t_l = (1/2pi) int_0^{2pi} g(k) exp(-i l k) dk`` fill the
-L x L block ``T[i, j] = t_{j-i}`` and the 2L x 2L Majorana covariance block
-built from ``M_l = [[0, t_l], [-t_{-l}, 0]]``.  The singular values
-``mu_1 >= ... >= mu_L`` of the block drive every entanglement quantity, so
-they are aggregated here once, in the log domain.
+L x L block ``T[i, j] = t_{j-i}``.  Its singular values
+``mu_1 >= ... >= mu_L`` drive every entanglement quantity, so they are
+aggregated here once, in the log domain.  An isotropic block is symmetric and
+centrosymmetric, and its singular values are the absolute eigenvalues of two
+half-size symmetric blocks; any other block takes a dense SVD.
 """
 
 from __future__ import annotations
@@ -189,16 +190,6 @@ def build_T(model: ModelSpec, L: int, abs_tol: float = 1e-12,
     return scipy.linalg.toeplitz(col, row)
 
 
-def build_gamma(model: ModelSpec, L: int, abs_tol: float = 1e-12,
-                table: ToeplitzCoeffs | None = None) -> np.ndarray:
-    """The 2L x 2L skew-symmetric covariance block with 2x2 blocks ``M_{i-j}``."""
-    T = build_T(model, L, abs_tol, table)
-    g = np.zeros((2 * L, 2 * L))
-    g[0::2, 1::2] = T.T                  # entry (2i, 2j+1) = t_{i-j}
-    g[1::2, 0::2] = -T                   # entry (2i+1, 2j) = -t_{j-i}
-    return g
-
-
 @dataclass(frozen=True)
 class BlockSpectrum:
     """Singular values of one block plus log-domain aggregates.
@@ -251,14 +242,31 @@ def spectrum_from_singular_values(values, degenerate: bool = False) -> BlockSpec
 
 
 def block_spectrum(T) -> BlockSpectrum:
-    """Dense-SVD spectrum of a block with log-domain aggregates."""
+    """Singular values of a block with log-domain aggregates.
+
+    A block that is exactly symmetric and centrosymmetric (``JTJ = T`` with
+    ``J`` the exchange matrix), as every isotropic block is, splits into the
+    half-size symmetric blocks ``T11 +- T12 J``, where ``T11`` and ``T12``
+    are its top-left and top-right ``L // 2`` square quarters; for odd L the
+    ``+`` block is bordered by ``sqrt(2)`` times the middle column and the
+    centre entry.  Their absolute eigenvalues are the singular values.  Any
+    other block takes a dense SVD.
+    """
     A = np.asarray(T, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ModelError("block must be a square matrix")
     if not np.all(np.isfinite(A)):
         raise ModelError("block entries must be finite")
     try:
-        sv = np.linalg.svd(A, compute_uv=False)
+        if np.array_equal(A, A.T) and np.array_equal(A, A[::-1, ::-1]):
+            L, m = A.shape[0], A.shape[0] // 2
+            head, cj = A[:m, :m], A[:m, L - m:][:, ::-1]
+            # the middle row and column A[m:L-m] are empty for even L
+            plus = np.block([[head + cj, math.sqrt(2.0) * A[:m, m:L - m]],
+                             [math.sqrt(2.0) * A[m:L - m, :m], A[m:L - m, m:L - m]]])
+            sv = np.abs(np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(head - cj)]))
+        else:
+            sv = np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"decomposition failure: {exc}") from exc
     return spectrum_from_singular_values(sv)

@@ -6,7 +6,8 @@ from root factors: Fermi pairs, near-coincident pairs, zeros at 0 and pi,
 tangential (double) zeros, triple zeros and roots off the unit circle
 (gapped factors).  Isotropic tables are polynomials in ``x = cos k``
 instead.  The same tables drive the classifier, the isotropic closed form,
-and the finite Gaussian chain against exact diagonalization.
+the isotropic block spectrum, and the finite Gaussian chain against exact
+diagonalization.
 """
 
 import math
@@ -16,10 +17,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import chebyshev, polynomial
 
-from singlecopy.errors import DegenerateGroundStateError
+from singlecopy.errors import CoefficientAccuracyError, DegenerateGroundStateError
 from singlecopy.model import build_model, classify_criticality
 from singlecopy.oracle import _gaussian_block, compare_oracle
-from singlecopy.toeplitz import _fourier_pair, coefficient_table
+from singlecopy.toeplitz import _fourier_pair, block_spectrum, build_T, coefficient_table
 
 GRID = 1 << 16
 STEP = 2 * math.pi / GRID
@@ -205,6 +206,19 @@ def test_closed_form_matches_quadrature(table):
         tp, tm = _fourier_pair(model, l, 1e-10, cuts)
         assert tp == pytest.approx(tab.coeff(l), abs=1e-10)
         assert tm == pytest.approx(tab.coeff(-l), abs=1e-10)
+
+
+# Isotropic blocks take the half-size symmetric eigensolver; the SVD is the
+# reference.  A table whose closed form refuses it is skipped.
+@settings(max_examples=25, deadline=None)
+@given(isotropic_tables(), st.integers(1, 200))
+def test_isotropic_spectrum_matches_svd(table, L):
+    try:
+        T = build_T(table[0], L)
+    except CoefficientAccuracyError:
+        assume(False)
+    svd = np.sort(np.linalg.svd(T, compute_uv=False))[::-1]
+    assert np.abs(block_spectrum(T).mu - svd).max() <= 1e-13
 
 
 # Open chains of up to 9 sites cut the couplings at both edges, so their

@@ -1,15 +1,16 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev, polynomial
 
 from singlecopy.errors import CoefficientAccuracyError, ModelError
 from singlecopy.model import build_model, classify_criticality
 from singlecopy.toeplitz import (
     block_spectrum,
     build_T,
-    build_gamma,
     coefficient_table,
     spectrum_from_singular_values,
     _fourier_pair,
@@ -19,6 +20,16 @@ XX2 = build_model("xx", a=2)
 ISING = build_model("ising")
 XY = build_model("xy", a=2, gamma=0.5)
 CONST = build_model("custom", A=(1,))
+
+
+def build_gamma(model, L):
+    """The 2L x 2L skew-symmetric Majorana covariance block with 2x2 blocks
+    ``M_{i-j} = [[0, t_{i-j}], [-t_{j-i}, 0]]``."""
+    T = build_T(model, L)
+    g = np.zeros((2 * L, 2 * L))
+    g[0::2, 1::2] = T.T                  # entry (2i, 2j+1) = t_{i-j}
+    g[1::2, 0::2] = -T                   # entry (2i+1, 2j) = -t_{j-i}
+    return g
 
 
 def test_xx_closed_form_values():
@@ -201,3 +212,52 @@ def test_table_reuse_across_lengths():
     assert np.allclose(direct, nested, atol=1e-12)
     with pytest.raises(ModelError):
         build_T(XX2, 64, table=tab)
+
+
+def _isotropic_with_roots(roots):
+    """Isotropic table with ``lam(k) = prod (cos k - r)``."""
+    a = chebyshev.poly2cheb(polynomial.polyfromroots(roots))
+    return build_model("custom", A=[a[0]] + [x / 2 for x in a[1:]])
+
+
+def _svd_mu(T):
+    return np.sort(np.linalg.svd(T, compute_uv=False))[::-1]
+
+
+# a of the first benchmark xx draws: round(1.5 + 1.5 * Random(i).random(), 4)
+ISOTROPIC = {f"xx-draw{i}": build_model("xx", a=round(1.5 + 1.5 * random.Random(i).random(), 4))
+             for i in range(3)}
+ISOTROPIC.update({"xx-a1": build_model("xx", a=1), "const": CONST,
+                  "w2": _isotropic_with_roots([-0.3, 0.5]),
+                  "w3": _isotropic_with_roots([-0.7, 0.1, 0.6])})
+
+
+@pytest.mark.parametrize("name", list(ISOTROPIC))
+def test_isotropic_spectrum_matches_svd(name):
+    model = ISOTROPIC[name]
+    if name in ("w2", "w3"):
+        assert len(classify_criticality(model).fermi_points) == 2 * model.w
+    tab = coefficient_table(model, 1025)
+    for L in (1, 2, 3, 64, 65, 1024, 1025):
+        T = build_T(model, L, table=tab)
+        assert np.abs(block_spectrum(T).mu - _svd_mu(T)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("model", [ISING, XY], ids=["ising", "xy"])
+@pytest.mark.parametrize("L", [1, 2, 3, 64, 65])
+def test_anisotropic_blocks_keep_the_svd(model, L):
+    # bit for bit, after the clip of rounding overshoot past 1
+    T = build_T(model, L)
+    assert np.array_equal(block_spectrum(T).mu, np.clip(_svd_mu(T), 0.0, 1.0))
+
+
+def test_symmetry_guards_route_correctly():
+    rng = np.random.default_rng(7)
+    for n in (8, 9):
+        X = rng.standard_normal((n, n))
+        symmetric = X + X.T                      # not centrosymmetric
+        centro = X + X[::-1, ::-1]               # not symmetric
+        both = symmetric + symmetric[::-1, ::-1]  # not Toeplitz
+        for M in (symmetric, centro, both):
+            M = M / (1.01 * np.linalg.norm(M, 2))
+            assert np.abs(block_spectrum(M).mu - _svd_mu(M)).max() <= 1e-13

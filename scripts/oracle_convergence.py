@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate the Toeplitz pipeline against first-principles ground states.
 
-First compares the Gaussian covariance route with dense Fock-space
+First compares the Gaussian covariance route with exact Fock-space
 diagonalization on small gapped chains (should agree to machine
 precision), then tracks how the centered block of a growing finite open
 chain approaches the translation-invariant Toeplitz block.

@@ -7,10 +7,10 @@ open chain:
   the orthogonal polar factor of the 2n x 2n Majorana quadratic form, from
   one SVD; zero modes are left at half filling and mark the state
   degenerate.
-* ``exact_diag_ground`` builds the 2^n x 2^n Hamiltonian as the
-  Jordan-Wigner operator sum of the coupling table, solves it densely for
-  the two lowest states only, and reduces the ground vector directly; it
-  refuses degenerate ground states.
+* ``exact_diag_ground`` builds the sparse 2^n x 2^n Jordan-Wigner operator
+  sum of the coupling table, solves each symmetry block (connected component)
+  densely for its two lowest states, and reduces the ground vector directly;
+  it refuses degenerate ground states.
 
 Open boundaries keep the fermionic picture exact (no boundary strings or
 parity corrections); blocks are centered to suppress edge effects, and the
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from .entangle import leading_eigenvalues
 from .errors import DecompositionError, DegenerateGroundStateError, ModelError
@@ -105,8 +106,8 @@ def _annihilators(n: int) -> list:
             for j in range(n)]
 
 
-def fock_hamiltonian(model: ModelSpec, n: int) -> np.ndarray:
-    """Dense 2^n x 2^n Hamiltonian in the occupation-number basis.
+def fock_hamiltonian(model: ModelSpec, n: int) -> scipy.sparse.csr_matrix:
+    """Sparse (CSR) 2^n x 2^n Hamiltonian in the occupation-number basis.
 
     The Jordan-Wigner operator sum ``A_0 sum_j c_j^dag c_j + sum_{j != k}
     a c_j^dag c_k + b (c_j^dag c_k^dag - c_j c_k)`` over the coupling table,
@@ -129,27 +130,38 @@ def fock_hamiltonian(model: ModelSpec, n: int) -> np.ndarray:
                 H = H + a * (cdag[j] @ c[k])
             if b != 0.0:
                 H = H + b * (cdag[j] @ cdag[k] - c[j] @ c[k])
+    H.eliminate_zeros()                 # its sparsity graph links only coupled states
     if abs(H - H.T).max() > 1e-12 * max(1.0, abs(H).max()):
         raise DecompositionError("Fock-space Hamiltonian failed the symmetry check")
-    return H.toarray()
+    return H
 
 
 def _ed_ground(model: ModelSpec, n: int):
     """(two lowest eigenvalues, ground vector) of the Fock-space Hamiltonian.
 
-    A dense LAPACK solve for the two lowest states only: it resolves the
-    multiplicity of a degenerate ground level, which a single-vector Krylov
-    solve can miss.  Refuses numerically degenerate ground states: comparing
-    an arbitrary vector from a degenerate space against the Gaussian
-    convention would produce spurious mismatches.
+    Each connected component of the sparsity graph (a number or parity
+    sector, or finer) is solved densely for its two lowest states, which
+    resolves a degenerate ground level within one block or across two; a
+    single-vector Krylov solve can miss it.  Refuses numerically degenerate
+    ground states: an arbitrary vector of a degenerate space need not match
+    the Gaussian convention.
     """
-    evals, evecs = scipy.linalg.eigh(fock_hamiltonian(model, n), subset_by_index=[0, 1])
-    gap = float(evals[1] - evals[0])
+    H = fock_hamiltonian(model, n)
+    _, labels = scipy.sparse.csgraph.connected_components(H, directed=False)
+    levels = []                             # (energy, component's Fock states, vector)
+    for states in np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1]):
+        vals, vecs = scipy.linalg.eigh(H[states][:, states].toarray(),
+                                       subset_by_index=[0, min(2, states.size) - 1])
+        levels += [(e, states, v) for e, v in zip(vals, vecs.T)]
+    (e0, states, v), (e1, _, _) = sorted(levels, key=lambda level: level[0])[:2]
+    gap = float(e1 - e0)
     if gap <= _ED_GAP_TOL:
         raise DegenerateGroundStateError(
             f"degenerate ground state (many-body gap {gap:.3e})"
         )
-    return evals, evecs[:, 0]
+    psi = np.zeros(H.shape[0])
+    psi[states] = v
+    return np.array([e0, e1]), psi
 
 
 def _reduced_spectrum(psi: np.ndarray, n: int, L: int) -> np.ndarray:

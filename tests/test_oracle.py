@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.csgraph
 
+from singlecopy import oracle
 from singlecopy.errors import DegenerateGroundStateError, ModelError
 from singlecopy.model import build_model
 from singlecopy.toeplitz import block_spectrum, build_T
@@ -19,6 +22,13 @@ ISING = build_model("ising")
 XY = build_model("xy", a=2, gamma=0.5)
 CONST = build_model("custom", A=(1,))
 W2 = build_model("custom", A=(0.3, -1.0, 0.4), B=(0.35, -0.2))
+DEGENERATE = {
+    "xx2-n8": (XX2, 8),   # open xx(2) with n = 8 has an exact zero mode (n + 1 divisible by 3)
+    # exact zero modes that a single-vector Krylov solve misses (gap > 1e-8)
+    "w3-n5": (build_model("custom", A=(0.5, 0, 0, 0.5)), 5),
+    "w2-n9": (build_model("custom", A=(-1, -0.5, -0.5)), 9),
+    "w3b-n5": (build_model("custom", A=(1, 0, -0.5, -0.5)), 5),
+}
 
 
 def test_quadratic_form_is_skew():
@@ -44,7 +54,7 @@ def _subset_sums(energies):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_fock_spectrum_equals_subset_sums(n):
     # B = 0: many-body energies are all subset sums of hopping eigenvalues
-    H = fock_hamiltonian(XX2, n)
+    H = fock_hamiltonian(XX2, n).toarray()
     many_body = np.sort(np.linalg.eigvalsh(H))
     hop = np.zeros((n, n))
     for j in range(n):
@@ -56,7 +66,7 @@ def test_fock_spectrum_equals_subset_sums(n):
     # any B: excitation energies are the subset sums of the normal-mode
     # energies, the singular values of the quadratic form (each twice)
     for model in (XX2, ISING, XY, W2):
-        many_body = np.sort(np.linalg.eigvalsh(fock_hamiltonian(model, n)))
+        many_body = np.sort(np.linalg.eigvalsh(fock_hamiltonian(model, n).toarray()))
         modes = np.linalg.svd(chain_quadratic_form(model, n), compute_uv=False)[0::2]
         assert np.abs(many_body - many_body[0] - _subset_sums(modes)).max() < 1e-9
 
@@ -64,7 +74,7 @@ def test_fock_spectrum_equals_subset_sums(n):
 def test_ground_vector_has_single_occupation_sector():
     # number-conserving model: the gapped ground vector lives in one N sector
     n = 7
-    H = fock_hamiltonian(XX2, n)
+    H = fock_hamiltonian(XX2, n).toarray()
     evals, evecs = np.linalg.eigh(H)
     assert evals[1] - evals[0] > 1e-8
     psi = evecs[:, 0]
@@ -73,17 +83,83 @@ def test_ground_vector_has_single_occupation_sector():
     assert max(norms) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("model,n", [(XX2, 10), (ISING, 9), (XY, 8)],
-                         ids=["xx2", "ising", "xy"])
-def test_gaussian_matches_exact_diagonalization(model, n):
+# n = 12 is the exact-diagonalization limit; the benchmark's oracle block is L = 6
+@pytest.mark.parametrize("model,n,Ls", [
+    (XX2, 10, range(1, 11)), (ISING, 9, range(1, 10)), (XY, 8, range(1, 9)),
+    (XX2, 12, (3, 6)), (ISING, 12, (4, 6)),
+], ids=["xx2", "ising", "xy", "xx2-n12", "ising-n12"])
+def test_gaussian_matches_exact_diagonalization(model, n, Ls):
     evals_gap = None
-    for L in range(1, n + 1):
+    for L in Ls:
         cmp = compare_oracle(model, n, L, "gaussian-vs-ed")
         assert cmp.gap > 1e-6
         assert cmp.max_abs_diff < 1e-8
         assert not cmp.defect
         evals_gap = cmp.gap
     assert evals_gap is not None
+
+
+@pytest.mark.parametrize("model,components", [
+    (XX2, lambda n: n + 1),       # particle-number sectors
+    (ISING, lambda n: 2),         # fermion-parity sectors
+    (XY, lambda n: 2),
+    (W2, lambda n: 2),
+    (CONST, lambda n: 1 << n),    # w = 0: every Fock state is its own block
+    *((m, None) for m, _ in DEGENERATE.values()),
+], ids=["xx2", "ising", "xy", "w2", "const", *DEGENERATE.keys()])
+def test_block_solve_matches_full_dense_solve(model, components, monkeypatch):
+    # the per-component solve against one dense solve of the whole Fock space
+    for n in range(1, 9):
+        H = fock_hamiltonian(model, n)
+        if components is not None:
+            assert scipy.sparse.csgraph.connected_components(H, directed=False)[0] == components(n)
+        ref_evals, ref_evecs = scipy.linalg.eigh(H.toarray(), subset_by_index=[0, 1])
+        refused = ref_evals[1] - ref_evals[0] <= oracle._ED_GAP_TOL
+        if refused:
+            with pytest.raises(DegenerateGroundStateError):
+                oracle._ed_ground(model, n)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_ED_GAP_TOL", -np.inf)     # read the levels of refused chains too
+            evals, psi = oracle._ed_ground(model, n)
+        assert evals.shape == (2,) and psi.shape == (1 << n,)
+        assert np.abs(evals - ref_evals).max() <= 1e-12
+        if not refused:
+            for L in range(1, n + 1):
+                ref = oracle._reduced_spectrum(ref_evecs[:, 0], n, L)
+                assert np.abs(oracle._reduced_spectrum(psi, n, L) - ref).max() <= 1e-12
+
+
+def _stand_in(monkeypatch, H):
+    # _ed_ground looks fock_hamiltonian up at call time, so any symmetric
+    # sparse matrix can stand in for the Fock-space Hamiltonian
+    monkeypatch.setattr(oracle, "fock_hamiltonian", lambda model, n: scipy.sparse.csr_matrix(H))
+
+
+def test_block_solve_keeps_two_levels_of_one_block(monkeypatch):
+    # a quadratic Hamiltonian's first excitation flips the parity, so its two
+    # lowest levels never share a block; these stand-ins put them in one
+    perm = [3, 0, 4, 1, 2]
+    H = scipy.linalg.block_diag([[2.0]], [[0.0, 0.5], [0.5, 0.0]], [[3.0]], [[4.0]])[perm][:, perm]
+    _stand_in(monkeypatch, H)
+    evals, psi = oracle._ed_ground(XX2, 2)
+    assert np.allclose(evals, [-0.5, 0.5], atol=1e-15)
+    assert np.allclose(H @ psi, -0.5 * psi, atol=1e-15) and np.linalg.norm(psi) == pytest.approx(1.0)
+    _stand_in(monkeypatch, scipy.linalg.block_diag(np.ones((3, 3)) - np.eye(3), [[5.0]]))
+    with pytest.raises(DegenerateGroundStateError):   # eigenvalues 2, -1, -1 in one block
+        oracle._ed_ground(XX2, 2)
+
+
+def test_cross_sector_degeneracy_is_refused():
+    # the zero mode of open xx(2) at n = 8 makes the lowest states of the
+    # N and N + 1 sectors degenerate, so the two lowest levels lie in
+    # different blocks and the refusal must compare across them
+    n = 8
+    H = fock_hamiltonian(XX2, n).toarray()
+    occ = np.array([bin(s).count("1") for s in range(1 << n)])
+    lows = np.sort([np.linalg.eigvalsh(H[np.ix_(occ == N, occ == N)])[0] for N in range(n + 1)])
+    assert lows[1] - lows[0] < 1e-12
+    with pytest.raises(DegenerateGroundStateError):
+        exact_diag_ground(XX2, n, n // 2)
 
 
 def test_purity_at_full_block():
@@ -93,13 +169,7 @@ def test_purity_at_full_block():
         assert exact_diag_ground(model, n, n)[0] == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("model,n", [
-    (XX2, 8),     # open xx(2) with n = 8 has an exact zero mode (n + 1 divisible by 3)
-    # exact zero modes that a single-vector Krylov solve misses (gap > 1e-8)
-    (build_model("custom", A=(0.5, 0, 0, 0.5)), 5),
-    (build_model("custom", A=(-1, -0.5, -0.5)), 9),
-    (build_model("custom", A=(1, 0, -0.5, -0.5)), 5),
-], ids=["xx2-n8", "w3-n5", "w2-n9", "w3b-n5"])
+@pytest.mark.parametrize("model,n", DEGENERATE.values(), ids=DEGENERATE.keys())
 def test_degenerate_chain_is_refused(model, n):
     L = n // 2
     with pytest.raises(DegenerateGroundStateError):

@@ -13,7 +13,6 @@ from .errors import (
     ToolkitError,
 )
 from .model import (
-    Jump,
     ModelSpec,
     SymbolProfile,
     build_model,

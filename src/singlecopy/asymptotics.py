@@ -17,15 +17,19 @@ from scipy.integrate import quad
 from .entangle import single_copy_E1
 from .errors import ModelError, ToolkitError
 from .model import ModelSpec, classify_criticality
-from .toeplitz import LN2, BlockSpectrum, block_spectrum, build_T, coefficient_table
-
-MAX_SCAN_L = 4096
+from .toeplitz import LN2, MAX_L, BlockSpectrum, block_spectrum, build_T, coefficient_table
 
 
 def geometric_grid(L_min: int, L_max: int, per_octave: int = 2) -> tuple[int, ...]:
-    """Strictly increasing integer grid, ``per_octave`` points per factor 2."""
-    if L_min < 1 or L_max < L_min or per_octave < 1:
-        raise ModelError("need 1 <= L_min <= L_max and per_octave >= 1")
+    """Strictly increasing integer grid, ``per_octave`` points per factor 2.
+
+    ``per_octave = L_max`` already exceeds ``L_max ln 2`` and lists every
+    integer in ``[L_min, L_max]``, so larger values are refused, as is an
+    ``L_max`` past the longest block, ``MAX_L``: the loop takes about
+    ``per_octave * log2(L_max / L_min)`` steps.
+    """
+    if not 1 <= L_min <= L_max <= MAX_L or not 1 <= per_octave <= L_max:
+        raise ModelError(f"need 1 <= L_min <= L_max <= {MAX_L} and 1 <= per_octave <= L_max")
     out = []
     e = math.log2(L_min)
     top = math.log2(L_max)
@@ -82,8 +86,8 @@ def scan(model: ModelSpec, grid, abs_tol: float = 1e-12,
     grid = tuple(int(L) for L in grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ModelError("grid must be non-empty and strictly increasing")
-    if grid[0] < 1 or grid[-1] > MAX_SCAN_L:
-        raise ModelError(f"grid must stay within [1, {MAX_SCAN_L}]")
+    if grid[0] < 1 or grid[-1] > MAX_L:
+        raise ModelError(f"grid must stay within [1, {MAX_L}]")
     table = coefficient_table(model, grid[-1], abs_tol)
 
     def job(L: int):
@@ -222,7 +226,6 @@ def fh_slope(series: ScanSeries) -> ScalingFit:
 @dataclass(frozen=True)
 class IntegralCheck:
     value_natural_log: float
-    value_log2: float
     abs_err_estimate: float
 
 
@@ -237,8 +240,7 @@ def _half_integrand(x: float) -> float:
 def integral_check(abs_tol: float = 1e-12) -> IntegralCheck:
     """(2/pi^2) * integral over [-1, 1] of ln((1+|x|)/2)/(1-x^2).
 
-    Evaluated as twice the half-interval integral (the integrand is even);
-    the log2 variant divides by ln 2.
+    Evaluated as twice the half-interval integral (the integrand is even).
     """
     if abs_tol < 1e-12:
         raise ModelError("abs_tol must be >= 1e-12")
@@ -250,4 +252,4 @@ def integral_check(abs_tol: float = 1e-12) -> IntegralCheck:
             f"integral tolerance not met: error estimate {err * scale:.3e} > {abs_tol:.3e}"
         )
     value = scale * half
-    return IntegralCheck(value, value / LN2, err * scale)
+    return IntegralCheck(value, err * scale)

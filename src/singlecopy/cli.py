@@ -119,8 +119,8 @@ def _model_from_args(args):
 def _grid_from_args(args):
     if args.L_min < 1 or args.L_max < args.L_min:
         raise UsageError("need 1 <= L-min <= L-max")
-    if args.per_octave < 1:
-        raise UsageError("per-octave must be >= 1")
+    if not 1 <= args.per_octave <= args.L_max:
+        raise UsageError("need 1 <= per-octave <= L-max (L-max already lists every integer)")
     return geometric_grid(args.L_min, args.L_max, args.per_octave)
 
 

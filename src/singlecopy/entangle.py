@@ -25,7 +25,7 @@ from scipy.optimize import linprog
 
 from .errors import InvalidSpectrumError, ModelError, SolverError
 from .model import ModelSpec
-from .toeplitz import LN2, BlockSpectrum, ToeplitzCoeffs, block_spectrum, build_T
+from .toeplitz import LN2, MAX_L, BlockSpectrum, block_spectrum, build_T
 
 #: Above this many bits the floor correction in E1 is below float resolution.
 FLOOR_BITS_LIMIT = 52.0
@@ -61,14 +61,13 @@ class SingleCopyE1:
     E1_bits: float
     e1_cont_bits: float
     M_max: int | None
-    floor_saturated: bool = False
 
 
 def single_copy_E1(alpha1: float | None = None, *, ln_alpha1: float | None = None) -> SingleCopyE1:
     """E1 = log2 floor(1/alpha1), computed stably from alpha1 or ln(alpha1).
 
     Beyond ``FLOOR_BITS_LIMIT`` bits the floor correction is unrepresentable;
-    the continuous value is returned with ``floor_saturated`` set.
+    the continuous value is returned and ``M_max`` is None.
     """
     if (alpha1 is None) == (ln_alpha1 is None):
         raise InvalidSpectrumError("pass exactly one of alpha1 / ln_alpha1")
@@ -81,12 +80,12 @@ def single_copy_E1(alpha1: float | None = None, *, ln_alpha1: float | None = Non
     ln_alpha1 = min(float(ln_alpha1), 0.0)
     e1_cont = -ln_alpha1 / LN2 + 0.0
     if e1_cont > FLOOR_BITS_LIMIT:
-        return SingleCopyE1(e1_cont, e1_cont, None, True)
+        return SingleCopyE1(e1_cont, e1_cont, None)
     inv = math.exp(-ln_alpha1)
     m = math.floor(inv)
     if (m + 1) - inv <= 8.0 * math.ulp(inv):
         m += 1  # inv sits within rounding of the next integer
-    return SingleCopyE1(math.log2(m), e1_cont, m, False)
+    return SingleCopyE1(math.log2(m), e1_cont, m)
 
 
 def nielsen_transformable(spectrum, M: int) -> bool:
@@ -228,8 +227,8 @@ def sector_decompose(mu, convention: str = "plus") -> tuple[SectorWeight, ...]:
     if mu.ndim != 1 or mu.size == 0:
         raise InvalidSpectrumError("mu must be a non-empty 1-d array")
     L = mu.size
-    if L > 4096:
-        raise ModelError("sector decomposition limited to L <= 4096")
+    if L > MAX_L:
+        raise ModelError(f"sector decomposition limited to L <= {MAX_L}")
     if convention == "plus":
         nu = (1.0 + mu) / 2.0
     elif convention == "minus":
@@ -311,15 +310,15 @@ def report_from_spectrum(model: ModelSpec, spec: BlockSpectrum, *,
 
 
 def report(model: ModelSpec, L: int, *, with_Ep: bool = False,
-           with_sectors: bool = False, Ep_dims: int = 256, abs_tol: float = 1e-12,
-           table: ToeplitzCoeffs | None = None) -> EntanglementReport:
+           with_sectors: bool = False, Ep_dims: int = 256,
+           abs_tol: float = 1e-12) -> EntanglementReport:
     """Full pipeline model -> T_L -> mu -> entanglement report.
 
     Sectors are computed only for isotropic models (the reduction must be
     occupation-diagonal); ``with_sectors`` is ignored otherwise.
     """
-    if L < 1:
-        raise ModelError("block length L must be >= 1")
-    spec = block_spectrum(build_T(model, L, abs_tol, table))
+    if not 1 <= L <= MAX_L:
+        raise ModelError(f"block length L must be in [1, {MAX_L}]")
+    spec = block_spectrum(build_T(model, L, abs_tol))
     return report_from_spectrum(model, spec, with_Ep=with_Ep,
                                 with_sectors=with_sectors, Ep_dims=Ep_dims)

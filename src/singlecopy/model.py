@@ -78,34 +78,25 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class Jump:
-    """A discontinuity of the symbol at angle ``k``.
+class SymbolProfile:
+    """Zeros of the dispersion on [0, 2pi), sorted.
 
-    ``jump_exponent`` is the principal exponent beta with
-    ``exp(2 pi i beta) = left_limit / right_limit`` and
-    ``Re(beta) in (-1/2, 1/2]``.  A dispersion zero of odd multiplicity
-    flips the symbol, ``left_limit = -right_limit``, so beta is 1/2.
+    A Fermi point (odd multiplicity) flips the sign of the symbol, a jump
+    with exponent ``beta = 1/2``; a marginal point (even multiplicity) is
+    tangential and leaves the symbol continuous.  The model is critical
+    exactly when it has Fermi points.
     """
 
-    k: float
-    left_limit: complex
-    right_limit: complex
-    jump_exponent: complex
-
-
-@dataclass(frozen=True)
-class SymbolProfile:
-    """Discontinuity structure of the symbol of one model."""
-
-    model: ModelSpec
-    jumps: tuple[Jump, ...]
-    critical: bool
     fermi_points: tuple[float, ...]
     marginal_points: tuple[float, ...] = ()
 
+    @property
+    def critical(self) -> bool:
+        return bool(self.fermi_points)
+
     def beta_sq_sum(self) -> float:
         """Sum of squared jump exponents (determinant-decay prediction)."""
-        return float(sum(abs(j.jump_exponent) ** 2 for j in self.jumps))
+        return 0.25 * len(self.fermi_points)
 
 
 def _xy_couplings(a: float, gamma: float):
@@ -283,36 +274,20 @@ def classify_criticality(model: ModelSpec) -> SymbolProfile:
     multiple roots by :func:`_root_clusters`.  A group whose centre lies
     within 1e-6 of ``|z| = 1`` gives a zero at the centre's angle
     (Newton-polished for a simple root), kept when ``|lam|`` there falls
-    below 1e-8 of the coefficient scale.  A zero of odd multiplicity m
-    flips the sign of the leading Taylor term ``d^m lam / dk^m``, so the
-    symbol changes sign there (a Fermi point, ``beta = 1/2``); a zero of
-    even multiplicity is tangential and reported as marginal.  The model is
-    critical exactly when the jump list is nonempty.
+    below 1e-8 of the coefficient scale.  A zero of odd multiplicity flips
+    the sign of the symbol (a Fermi point, ``beta = 1/2``); a zero of even
+    multiplicity is tangential and reported as marginal.  The model is
+    critical exactly when it has Fermi points.
     """
     c = _laurent(model)
     scale = float(np.abs(c).sum())
-    jumps: list[Jump] = []
+    fermi: list[float] = []
     marginal: list[float] = []
     for centre, m in _root_clusters(np.trim_zeros(c[::-1], "f")):
         if abs(abs(centre) - 1.0) >= _CIRCLE_TOL:
             continue
         k0 = _polish_zero(model, cmath.phase(centre)) if m == 1 else cmath.phase(centre)
         k0 = k0 % TWO_PI % TWO_PI      # the second % maps a tiny negative angle's 2pi to 0
-        if abs(dispersion(model, k0)) >= _ZERO_REL * scale:
-            continue
-        if m % 2 == 0:
-            marginal.append(k0)
-            continue
-        lead = _lam_derivative(model, k0, m)
-        right = lead / abs(lead)
-        jumps.append(Jump(k0, -right, right, complex(0.5)))
-    jumps.sort(key=lambda j: j.k)
-    marginal.sort()
-
-    return SymbolProfile(
-        model=model,
-        jumps=tuple(jumps),
-        critical=bool(jumps),
-        fermi_points=tuple(j.k for j in jumps),
-        marginal_points=tuple(marginal),
-    )
+        if abs(dispersion(model, k0)) < _ZERO_REL * scale:
+            (fermi if m % 2 else marginal).append(k0)
+    return SymbolProfile(tuple(sorted(fermi)), tuple(sorted(marginal)))

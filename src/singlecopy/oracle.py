@@ -5,8 +5,8 @@ open chain:
 
 * ``finite_gaussian_ground`` takes the exact finite-n ground covariance as
   the orthogonal polar factor of the 2n x 2n Majorana quadratic form, from
-  one SVD; zero modes are left at half filling and mark the state
-  degenerate.
+  one SVD; zero modes are left at half filling, and the normal-mode gap,
+  which ``compare_oracle`` reports, is then 0 to rounding.
 * ``exact_diag_ground`` builds the sparse 2^n x 2^n Jordan-Wigner operator
   sum of the coupling table, solves each symmetry block (connected component)
   densely for its two lowest states, and reduces the ground vector directly;
@@ -32,7 +32,7 @@ import scipy.sparse.csgraph
 from .entangle import leading_eigenvalues
 from .errors import DecompositionError, DegenerateGroundStateError, ModelError
 from .model import ModelSpec
-from .toeplitz import BlockSpectrum, block_spectrum, build_T, spectrum_from_singular_values
+from .toeplitz import MAX_L, BlockSpectrum, block_spectrum, build_T, spectrum_from_singular_values
 
 _ZERO_MODE_TOL = 1e-10
 _ORTHO_TOL = 1e-8
@@ -68,12 +68,12 @@ def _gaussian_block(model: ModelSpec, n: int, L: int):
 
     With ``h = U diag(s) V^T``, the ground covariance is the polar factor
     ``U V^T`` restricted to the modes with ``s >= _ZERO_MODE_TOL``; the
-    others (zero modes) get covariance 0, i.e. half filling, and mark the
-    spectrum degenerate.  The singular values of ``h`` are the normal-mode
-    energies, each twice, and the gap is the smallest.
+    others (zero modes) get covariance 0, i.e. half filling.  The singular
+    values of ``h`` are the normal-mode energies, each twice, and the gap is
+    the smallest, 0 to rounding when there are zero modes.
     """
-    if not (1 <= L <= n <= 4096):
-        raise ModelError("need 1 <= L <= n <= 4096")
+    if not (1 <= L <= n <= MAX_L):
+        raise ModelError(f"need 1 <= L <= n <= {MAX_L}")
     U, s, Vt = scipy.linalg.svd(chain_quadratic_form(model, n))
     keep = s >= _ZERO_MODE_TOL
     gamma = U[:, keep] @ Vt[keep]
@@ -83,8 +83,7 @@ def _gaussian_block(model: ModelSpec, n: int, L: int):
     o = _block_offset(n, L)
     sub = gamma[2 * o:2 * (o + L), 2 * o:2 * (o + L)]
     mu = np.linalg.svd(sub, compute_uv=False)[0::2]   # each mu appears twice
-    gap = float(s.min())
-    return spectrum_from_singular_values(mu, degenerate=gap < _ZERO_MODE_TOL), gap
+    return spectrum_from_singular_values(mu), float(s.min())
 
 
 def finite_gaussian_ground(model: ModelSpec, n: int, L: int) -> BlockSpectrum:

@@ -22,6 +22,10 @@ from .model import TWO_PI, ModelSpec, SymbolProfile, classify_criticality, dispe
 
 LN2 = math.log(2.0)
 
+#: Largest block length of a report, scan or sector decomposition, and
+#: largest chain of the finite Gaussian oracle.
+MAX_L = 4096
+
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 _NODE_BUDGET = 1 << 16    # max symbol evaluations per coefficient
 _OSC_PER_PANEL = 6.0      # oscillations of exp(-ilk) served by one 64-node panel
@@ -38,7 +42,6 @@ class ToeplitzCoeffs:
     L: int
     t: np.ndarray
     method: str          # "closed_form" | "quadrature"
-    abs_tol: float
 
     def coeff(self, l: int) -> float:
         if abs(l) >= self.L:
@@ -164,7 +167,7 @@ def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
         raise CoefficientAccuracyError(
             "coefficient accuracy: |t_l| exceeds 1", achieved=overshoot
         )
-    return ToeplitzCoeffs(L, t, method, abs_tol)
+    return ToeplitzCoeffs(L, t, method)
 
 
 def _resolve_table(model, L, abs_tol, table):
@@ -207,10 +210,9 @@ class BlockSpectrum:
     ln_absdet_T: float
     entropy_bits: float
     rms_term_bits: float
-    degenerate: bool = False
 
 
-def spectrum_from_singular_values(values, degenerate: bool = False) -> BlockSpectrum:
+def spectrum_from_singular_values(values) -> BlockSpectrum:
     """Aggregate raw singular values into a :class:`BlockSpectrum`."""
     mu = np.sort(np.asarray(values, dtype=float))[::-1].copy()
     if mu.size == 0:
@@ -237,7 +239,6 @@ def spectrum_from_singular_values(values, degenerate: bool = False) -> BlockSpec
         ln_absdet_T=ln_absdet,
         entropy_bits=max(entropy_bits, 0.0) + 0.0,
         rms_term_bits=rms_term_bits + 0.0,
-        degenerate=degenerate,
     )
 
 

@@ -41,6 +41,23 @@ def test_geometric_grid():
         geometric_grid(0, 10)
 
 
+@pytest.mark.parametrize("lo,hi", [(64, 2048), (1, 4096), (16, 256), (3, 5)])
+def test_geometric_grid_per_octave_bound(lo, hi):
+    # per_octave = L_max already lists every integer; more is refused
+    assert geometric_grid(lo, hi, hi) == tuple(range(lo, hi + 1))
+    with pytest.raises(ModelError):
+        geometric_grid(lo, hi, hi + 1)
+
+
+def test_geometric_grid_stops_at_longest_block():
+    # scan refuses such a grid anyway; building it first could take
+    # per_octave * log2(L_max) steps
+    with pytest.raises(ModelError):
+        geometric_grid(64, 4097)
+    with pytest.raises(ModelError):
+        geometric_grid(1, 10 ** 9, 10 ** 9)
+
+
 def test_scan_product_state_rows():
     series = scan(build_model("custom", A=(1,)), (2, 4, 8))
     assert [r.L for r in series.rows] == [2, 4, 8]
@@ -138,6 +155,13 @@ def test_fh_slope_gapped_zero_winding_model_saturates():
     assert fit.predicted_slope == 0.0
 
 
+def test_fh_slope_prediction_counts_four_fermi_points():
+    # lam = 0.2 - 0.8 cos k - 2 cos 2k changes sign four times
+    model = build_model("custom", A=(0.2, -0.4, -1))
+    fit = fh_slope(scan(model, geometric_grid(32, 256)))
+    assert fit.predicted_slope == 1.0
+
+
 def test_gapped_winding_symbol_has_one_collapsing_singular_value():
     # for 1/a in (0, 1) and gamma != 0 the symbol winds around the origin:
     # exactly one singular value decays exponentially (det T_L -> 0) while
@@ -185,7 +209,6 @@ def test_integral_check_matches_dilog_oracle():
     expected = (4.0 / math.pi ** 2) * dilog_half_interval()
     assert ic.value_natural_log == pytest.approx(expected, abs=1e-10)
     assert ic.value_natural_log == pytest.approx(-1.0 / 6.0, abs=1e-9)
-    assert ic.value_log2 == pytest.approx(-1.0 / (6.0 * math.log(2.0)), abs=1e-9)
 
 
 def test_integral_check_validates_tolerance():

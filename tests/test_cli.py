@@ -108,6 +108,9 @@ def test_usage_errors_exit_1(capsys):
     code, _, err = run_cli(["scan", "--model", "xx", "--a", "2",
                             "--L-min", "32", "--L-max", "8"], capsys)
     assert code == 1
+    code, _, err = run_cli(["scan", "--model", "xx", "--a", "2", "--L-min", "8",
+                            "--L-max", "32", "--per-octave", "33"], capsys)
+    assert code == 1 and "per-octave" in err
     code, _, err = run_cli(["analyze", "--model", "xx", "--a", "2", "--L", "8",
                             "--config", "cfg.json"], capsys)  # removed flag
     assert code == 1
@@ -150,6 +153,9 @@ def test_numerical_failure_exit_2(capsys):
     )
     assert code == 2
     assert "degenerate" in err
+    # block lengths stop at 4096, before any coefficient is computed
+    code, out, err = run_cli(["analyze", "--model", "xx", "--a", "2", "--L", "4097"], capsys)
+    assert code == 2 and out == "" and "4096" in err
 
 
 def test_usage_error_writes_no_partial_file(tmp_path, capsys):

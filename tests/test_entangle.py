@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singlecopy.errors import InvalidSpectrumError
+from singlecopy.errors import InvalidSpectrumError, ModelError
 from singlecopy.model import build_model
 from singlecopy.toeplitz import block_spectrum, build_T
 from singlecopy.entangle import (
@@ -47,7 +47,7 @@ def test_single_copy_floor_guard():
 
 def test_single_copy_log_domain_and_saturation():
     res = single_copy_E1(ln_alpha1=-60.0 * math.log(2))
-    assert res.floor_saturated
+    assert res.M_max is None
     assert res.E1_bits == res.e1_cont_bits == pytest.approx(60.0)
     small = single_copy_E1(ln_alpha1=math.log(0.3))
     assert small.M_max == 3
@@ -260,6 +260,11 @@ def test_report_ordering_and_diagnostics():
     rep = report(XX2, 24, with_Ep=True)
     assert rep.E1_bits <= rep.Ep_bits <= rep.entropy_bits + 1e-9
     assert set(rep.diagnostics) == {"ln_absdet_T", "rms_term_bits", "Ep_truncated"}
+
+
+def test_report_rejects_block_past_max_length():
+    with pytest.raises(ModelError):
+        report(XX2, 4097)
 
 
 def test_report_skips_sectors_for_anisotropic():

@@ -183,13 +183,11 @@ def test_classifier_matches_brute_force_sign_count(table):
     assume(_resolvable(model, jumps, tangents))
     n_jumps, n_tangent = len(jumps), len(tangents)
     prof = classify_criticality(model)
-    assert len(prof.jumps) == _grid_sign_changes(model) == n_jumps
+    assert len(prof.fermi_points) == _grid_sign_changes(model) == n_jumps
     assert len(prof.marginal_points) == n_tangent
     assert prof.critical == (n_jumps > 0)
+    assert prof.beta_sq_sum() == n_jumps / 4
     assert all(0.0 <= k < 2 * math.pi for k in prof.fermi_points + prof.marginal_points)
-    for jump in prof.jumps:
-        assert jump.left_limit == -jump.right_limit
-        assert jump.jump_exponent == 0.5
 
 
 # The reference quadrature evaluates sign(lam) in double precision, which is
@@ -241,7 +239,7 @@ def test_finite_gaussian_matches_exact_diagonalization(table, n, data):
         cmp = compare_oracle(model, n, L, "gaussian-vs-ed")
     except DegenerateGroundStateError:
         assume(False)
-    assert not gauss.degenerate
+    assert normal_mode_gap >= 1e-10
     assert cmp.max_abs_diff < 1e-8
     assert cmp.gap == pytest.approx(normal_mode_gap, abs=1e-10)
 

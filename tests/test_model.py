@@ -64,25 +64,21 @@ def test_classify_xx_fermi_points():
     prof = classify_criticality(build_model("xx", a=2))
     assert prof.critical
     assert np.allclose(sorted(prof.fermi_points), [math.pi / 3, 5 * math.pi / 3], atol=1e-9)
-    for jump in prof.jumps:
-        assert abs(jump.jump_exponent) == pytest.approx(0.5, abs=1e-9)
+    assert prof.beta_sq_sum() == 0.5
 
 
 def test_classify_xy_gapped_is_not_critical():
     prof = classify_criticality(build_model("xy", a=2, gamma=0.5))
     assert not prof.critical
-    assert prof.jumps == ()
+    assert prof.fermi_points == ()
 
 
 def test_classify_ising_single_jump():
     prof = classify_criticality(build_model("ising"))
     assert prof.critical
-    assert len(prof.jumps) == 1
-    jump = prof.jumps[0]
-    assert jump.k == pytest.approx(0.0, abs=1e-9)
-    assert jump.left_limit == pytest.approx(-1j, abs=1e-6)
-    assert jump.right_limit == pytest.approx(1j, abs=1e-6)
-    assert jump.jump_exponent == pytest.approx(0.5, abs=1e-9)
+    assert len(prof.fermi_points) == 1
+    assert prof.fermi_points[0] == pytest.approx(0.0, abs=1e-9)
+    assert prof.beta_sq_sum() == 0.25
 
 
 def test_classify_marginal_boundary():
@@ -96,8 +92,8 @@ def test_classify_marginal_boundary():
 def test_classify_critical_line(gamma):
     prof = classify_criticality(build_model("xy", a=1, gamma=gamma))
     assert prof.critical
-    assert len(prof.jumps) == 1
-    assert prof.jumps[0].jump_exponent == pytest.approx(0.5, abs=1e-9)
+    assert len(prof.fermi_points) == 1
+    assert prof.beta_sq_sum() == 0.25
 
 
 @pytest.mark.parametrize("a", [1.5, 2.0, 5.0])
@@ -118,7 +114,7 @@ def test_near_coincident_fermi_points_all_found():
     model = build_model("custom", A=(0.5 + math.cos(1) * math.cos(1.001),
                                      -(math.cos(1) + math.cos(1.001)) / 2, 0.25))
     prof = classify_criticality(model)
-    assert len(prof.jumps) == 4
+    assert len(prof.fermi_points) == 4
     expected = [1.0, 1.001, 2 * math.pi - 1.001, 2 * math.pi - 1.0]
     assert np.allclose(sorted(prof.fermi_points), expected, atol=1e-9)
 
@@ -126,20 +122,19 @@ def test_near_coincident_fermi_points_all_found():
 def test_fermi_pair_straddling_zero_stays_two_jumps():
     # lam = cos(1e-3) - cos k: zeros at +-1e-3, each a jump with beta = 1/2
     prof = classify_criticality(build_model("custom", A=(math.cos(1e-3), -0.5)))
-    assert len(prof.jumps) == 2
+    assert len(prof.fermi_points) == 2
     assert prof.beta_sq_sum() == 0.5
 
 
 def test_triple_zero_is_one_fermi_point():
     # lam = (cos k - cos 1)^3: numpy splits each triple root by ~1e-5, yet
-    # each is one sign change of lam, with -1 on the right of k = 1
+    # each is one sign change of lam
     c = math.cos(1)
     model = build_model("custom", A=(-c ** 3 - 1.5 * c, (3 * c * c + 0.75) / 2,
                                      -0.75 * c, 0.125))
     prof = classify_criticality(model)
     assert np.allclose(prof.fermi_points, [1.0, 2 * math.pi - 1.0], atol=1e-6)
     assert prof.marginal_points == ()
-    assert prof.jumps[0].right_limit == -1 and prof.jumps[1].right_limit == 1
     assert prof.beta_sq_sum() == 0.5
 
 

@@ -40,7 +40,6 @@ def test_quadratic_form_is_skew():
 def test_product_state_chain():
     s = finite_gaussian_ground(CONST, 4, 2)
     assert np.allclose(s.mu, 1.0)
-    assert not s.degenerate
     assert np.allclose(exact_diag_ground(CONST, 2, 1), [1.0, 0.0])
 
 
@@ -174,8 +173,6 @@ def test_degenerate_chain_is_refused(model, n):
     L = n // 2
     with pytest.raises(DegenerateGroundStateError):
         exact_diag_ground(model, n, L)
-    s = finite_gaussian_ground(model, n, L)
-    assert s.degenerate
     assert compare_oracle(model, n, L, "gaussian-vs-thermodynamic").gap < 1e-10
 
 

@@ -109,7 +109,7 @@ def test_tangential_zero_next_to_fermi_points_closed_form():
 def test_closed_form_rejects_mistyped_zeros():
     # the xx a=2 Fermi points passed off as marginal: lam changes sign there
     prof = classify_criticality(XX2)
-    wrong = dataclasses.replace(prof, jumps=(), fermi_points=(),
+    wrong = dataclasses.replace(prof, fermi_points=(),
                                 marginal_points=prof.fermi_points)
     with pytest.raises(CoefficientAccuracyError):
         coefficient_table(XX2, 8, profile=wrong)

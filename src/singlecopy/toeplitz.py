@@ -79,27 +79,29 @@ def _closed_form(model: ModelSpec, profile: SymbolProfile, L: int) -> np.ndarray
     return t
 
 
-def _panel_pair(model, l, lo, hi, n_panels):
-    """Composite 64-node Gauss-Legendre integrals of g(k) e^{-+ilk} on [lo, hi]."""
+def _panel_set(model, lo, hi, n_panels):
+    """Nodes k and weighted symbol w*g(k) of composite 64-node Gauss-Legendre panels."""
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     k = (mid + half * _GL_X[None, :]).ravel()
     wts = (half * _GL_W[None, :]).ravel()
     g = symbol_eval(model, k)
-    phase = np.exp(-1j * l * k)
-    return np.sum(wts * g * phase), np.sum(wts * g * np.conj(phase)), k.size
+    return k, wts * g
 
 
-def _fourier_pair(model, l, abs_tol, cuts):
-    """(t_l, t_{-l}) by adaptive panel quadrature split at the symbol cuts."""
+def _fourier_pair(model, l, abs_tol, cuts, panels=None):
+    """(t_l, t_{-l}) by adaptive panel quadrature split at the symbol cuts.
+
+    ``panels``, passed again for the next ``l``, shares each panel set's weighted
+    symbol among the coefficients that use it; it keeps only the sets this ``l`` used.
+    """
     l = abs(int(l))
-    if cuts:
-        pts = sorted(cuts)
-        intervals = [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
-        intervals.append((pts[-1], pts[0] + TWO_PI))
-    else:
-        intervals = [(0.0, TWO_PI)]
+    panels = {} if panels is None else panels
+    reuse = panels.copy()
+    panels.clear()
+    pts = sorted(cuts) or [0.0]
+    intervals = list(zip(pts, pts[1:] + [pts[0] + TWO_PI]))
 
     used = 0
     total_plus = 0.0 + 0.0j
@@ -110,8 +112,13 @@ def _fourier_pair(model, l, abs_tol, cuts):
         n = max(1, math.ceil(width * max(l, 1) / (TWO_PI * _OSC_PER_PANEL)))
         prev = None
         while True:
-            ip, im, cnt = _panel_pair(model, l, lo, hi, n)
-            used += cnt
+            key = (lo, hi, n)
+            k, wg = panels[key] = reuse.get(key) or _panel_set(model, lo, hi, n)
+            phase = np.exp(-1j * l * k)
+            # np.multiply keeps the order wg * conj: numpy may evaluate `wg * <temporary>`
+            # in place as `<temporary> * wg`, which rounds differently
+            ip, im = np.sum(wg * phase), np.sum(np.multiply(wg, np.conj(phase)))
+            used += k.size
             if prev is not None:
                 err = max(abs(ip - prev[0]), abs(im - prev[1]))
                 if err < tol_i:
@@ -139,15 +146,16 @@ def _fourier_pair(model, l, abs_tol, cuts):
 def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
                       profile: SymbolProfile | None = None) -> ToeplitzCoeffs:
     """Tabulate ``t_l`` for ``|l| < L``: closed form for isotropic models,
-    adaptive quadrature split at the symbol's zeros otherwise.
+    adaptive quadrature split at the symbol's zeros otherwise, which computes
+    each panel set's weighted symbol once for all the coefficients that use it.
 
     The table for the largest block length of a scan is reused for every
     smaller block, since Toeplitz blocks nest.
     """
     if L < 1:
         raise ModelError("block length L must be >= 1")
-    if abs_tol <= 0.0:
-        raise ModelError("abs_tol must be positive")
+    if not 0.0 < abs_tol < math.inf:
+        raise ModelError("abs_tol must be positive and finite")
     if profile is None:
         profile = classify_criticality(model)
     if model.isotropic:
@@ -157,8 +165,9 @@ def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
     else:
         t = np.empty(2 * L - 1)
         cuts = sorted(set(profile.fermi_points) | set(profile.marginal_points))
+        panels = {}
         for l in range(L):
-            tp, tm = _fourier_pair(model, l, abs_tol, cuts)
+            tp, tm = _fourier_pair(model, l, abs_tol, cuts, panels)
             t[L - 1 + l] = tp
             t[L - 1 - l] = tm
         method = "quadrature"

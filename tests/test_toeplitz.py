@@ -68,6 +68,61 @@ def test_quadrature_matches_closed_form(a):
         assert tm == pytest.approx(tab.coeff(-l), abs=1e-10)
 
 
+# ising(2k): two Fermi points, so two quadrature intervals of equal width that
+# ask for the same panel counts; a panel cache keyed on the count alone fails it
+ISING_2K = build_model("custom", A=(-1, 0, 0.5), B=(0, -0.25))
+SHARED_PANEL_CASES = {
+    "xy": (XY, 1e-12),
+    "ising": (ISING, 1e-12),
+    "xy-0.7-0.4": (build_model("xy", a=0.7, gamma=0.4), 1e-12),
+    # gapped; 31 of its first 300 coefficients double their panels more than once
+    "custom-gapped": (build_model("custom", A=(0.2, -0.4, -1), B=(0.3, 0.1)), 1e-12),
+    "ising-2k": (ISING_2K, 1e-12),
+    "xy-tight": (XY, 1e-14),   # 14 coefficients reach four times their first panel count
+}
+
+
+def _cuts(model):
+    prof = classify_criticality(model)
+    return sorted(set(prof.fermi_points) | set(prof.marginal_points))
+
+
+@pytest.mark.parametrize("name", list(SHARED_PANEL_CASES))
+def test_shared_panel_sets_are_bit_identical(name):
+    # the table shares each panel set's weighted symbol across l; computed one
+    # coefficient at a time with no shared state, it must agree bit for bit
+    model, tol = SHARED_PANEL_CASES[name]
+    L, cuts = 300, _cuts(model)
+    ref = np.empty(2 * L - 1)
+    for l in range(L):
+        ref[L - 1 + l], ref[L - 1 - l] = _fourier_pair(model, l, tol, cuts)
+    assert np.array_equal(coefficient_table(model, L, tol).t, ref)
+
+
+def test_panel_cache_keeps_only_the_current_coefficients_sets():
+    cuts = _cuts(ISING_2K)
+    assert len(cuts) == 2
+    shared = {}
+    for l in range(300):
+        own = {}
+        assert _fourier_pair(ISING_2K, l, 1e-12, cuts, shared) == _fourier_pair(
+            ISING_2K, l, 1e-12, cuts, own)
+        assert shared.keys() == own.keys()
+
+
+def test_quadrature_refusals_keep_their_messages():
+    with pytest.raises(CoefficientAccuracyError, match="t_1 quadrature exhausted its node budget"):
+        coefficient_table(XY, 8, 1e-17)
+    with pytest.raises(CoefficientAccuracyError, match="t_0 kept an imaginary residue"):
+        coefficient_table(ISING, 8, 1e-17)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
+def test_coefficient_table_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ModelError, match="positive and finite"):
+        coefficient_table(XY, 8, tol)
+
+
 def test_near_coincident_fermi_points_closed_form():
     # lam = (cos k - cos 1)(cos k - cos 1.001): g = -1 only on two arcs of
     # width 1e-3, so t_0 = 1 - 4e-3 / (2 pi); a 2^22-point sign average

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .entangle import single_copy_E1
 from .errors import ModelError, ToolkitError
@@ -244,6 +243,7 @@ def integral_check(abs_tol: float = 1e-12) -> IntegralCheck:
     """
     if abs_tol < 1e-12:
         raise ModelError("abs_tol must be >= 1e-12")
+    from scipy.integrate import quad   # deferred: only `check --integral` needs it
     half, err = quad(_half_integrand, 0.0, 1.0, epsabs=abs_tol / 16.0,
                      epsrel=1e-13, limit=200)
     scale = 4.0 / math.pi ** 2

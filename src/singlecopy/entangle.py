@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InvalidSpectrumError, ModelError, SolverError
 from .model import ModelSpec
@@ -160,6 +159,7 @@ def probabilistic_Ep(spectrum, M_max: int = MAX_EP_DIMS, tail_weight: float = 0.
     A_ub = np.maximum(0.0, (Ms[None, :] - ls[:, None] + 1.0) / Ms[None, :])
     c = -np.log2(Ms)
 
+    from scipy.optimize import linprog   # deferred: it adds about 0.15 s to the package import
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=np.ones((1, cap)), b_eq=[1.0],
                   bounds=(0.0, None), method="highs")
     if not res.success:

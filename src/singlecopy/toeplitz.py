@@ -11,6 +11,8 @@ half-size symmetric blocks; any other block takes a dense SVD.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,11 +145,22 @@ def _fourier_pair(model, l, abs_tol, cuts, panels=None):
     return float(t_plus.real), float(t_minus.real)
 
 
+def _quadrature_range(model, ls, abs_tol, cuts):
+    """``_fourier_pair`` for consecutive ``l``, sharing one panel dict."""
+    panels = {}
+    return [_fourier_pair(model, l, abs_tol, cuts, panels) for l in ls]
+
+
 def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
                       profile: SymbolProfile | None = None) -> ToeplitzCoeffs:
     """Tabulate ``t_l`` for ``|l| < L``: closed form for isotropic models,
     adaptive quadrature split at the symbol's zeros otherwise, which computes
     each panel set's weighted symbol once for all the coefficients that use it.
+
+    The quadrature table runs on every CPU in the process's affinity set, one
+    thread per contiguous range of ``l``, and has no setting: each ``t_l``
+    comes from the same operations as in a serial run, so the table has the
+    same bits, and a refusal names the lowest failing ``l``.
 
     The table for the largest block length of a scan is reused for every
     smaller block, since Toeplitz blocks nest.
@@ -163,13 +176,16 @@ def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
         t = np.concatenate([half[:0:-1], half])
         method = "closed_form"
     else:
-        t = np.empty(2 * L - 1)
         cuts = sorted(set(profile.fermi_points) | set(profile.marginal_points))
-        panels = {}
-        for l in range(L):
-            tp, tm = _fourier_pair(model, l, abs_tol, cuts, panels)
-            t[L - 1 + l] = tp
-            t[L - 1 - l] = tm
+        w = len(os.sched_getaffinity(0))
+        # work per l grows like l, so ranges of equal work end at L sqrt(i/w)
+        ends = [math.ceil(L * math.sqrt(i / w)) for i in range(w + 1)]
+        with ThreadPoolExecutor(w) as pool:
+            ranges = [pool.submit(_quadrature_range, model, range(lo, hi), abs_tol, cuts)
+                      for lo, hi in zip(ends, ends[1:])]
+            # in ascending order, so the first exception raised is the lowest l's
+            t_plus, t_minus = np.array([pair for r in ranges for pair in r.result()]).T
+        t = np.concatenate([t_minus[:0:-1], t_plus])
         method = "quadrature"
     overshoot = float(np.abs(t).max()) - 1.0
     if overshoot > 1e-12:

@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import os
 import random
+import threading
 
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev, polynomial
 
+from singlecopy import toeplitz
 from singlecopy.errors import CoefficientAccuracyError, ModelError
 from singlecopy.model import build_model, classify_criticality
 from singlecopy.toeplitz import (
@@ -87,16 +90,33 @@ def _cuts(model):
     return sorted(set(prof.fermi_points) | set(prof.marginal_points))
 
 
+def _with_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 @pytest.mark.parametrize("name", list(SHARED_PANEL_CASES))
-def test_shared_panel_sets_are_bit_identical(name):
-    # the table shares each panel set's weighted symbol across l; computed one
-    # coefficient at a time with no shared state, it must agree bit for bit
+def test_shared_panel_sets_are_bit_identical(name, monkeypatch):
+    # the table shares each panel set's weighted symbol across l and splits l
+    # among the CPUs; computed one coefficient at a time with no shared state,
+    # it must agree bit for bit under any worker count
     model, tol = SHARED_PANEL_CASES[name]
     L, cuts = 300, _cuts(model)
     ref = np.empty(2 * L - 1)
     for l in range(L):
         ref[L - 1 + l], ref[L - 1 - l] = _fourier_pair(model, l, tol, cuts)
-    assert np.array_equal(coefficient_table(model, L, tol).t, ref)
+    real, seen = toeplitz._quadrature_range, []
+
+    def spy(model, ls, abs_tol, cuts):
+        seen.append(ls)
+        return real(model, ls, abs_tol, cuts)
+
+    monkeypatch.setattr(toeplitz, "_quadrature_range", spy)
+    # work per l grows like l: 3 workers take l < 174, < 245 and < 300
+    for cpus, ends in [(1, [0, 300]), (2, [0, 213, 300]), (3, [0, 174, 245, 300])]:
+        _with_cpus(monkeypatch, cpus)
+        seen.clear()
+        assert np.array_equal(coefficient_table(model, L, tol).t, ref)
+        assert sorted(seen, key=lambda r: r.start) == [range(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def test_panel_cache_keeps_only_the_current_coefficients_sets():
@@ -110,11 +130,40 @@ def test_panel_cache_keeps_only_the_current_coefficients_sets():
         assert shared.keys() == own.keys()
 
 
-def test_quadrature_refusals_keep_their_messages():
-    with pytest.raises(CoefficientAccuracyError, match="t_1 quadrature exhausted its node budget"):
-        coefficient_table(XY, 8, 1e-17)
-    with pytest.raises(CoefficientAccuracyError, match="t_0 kept an imaginary residue"):
-        coefficient_table(ISING, 8, 1e-17)
+def test_quadrature_refusals_keep_their_messages(monkeypatch):
+    # 4 workers take l < 4, < 6, < 7 and < 8 of L=8, and the xy table fails in
+    # the first two; the lowest failing l is reported
+    with pytest.raises(CoefficientAccuracyError, match="t_4 quadrature"):
+        _fourier_pair(XY, 4, 1e-17, _cuts(XY))
+    before = threading.active_count()
+    for cpus in (1, 4):
+        _with_cpus(monkeypatch, cpus)
+        with pytest.raises(CoefficientAccuracyError, match="t_1 quadrature exhausted its node budget"):
+            coefficient_table(XY, 8, 1e-17)
+        with pytest.raises(CoefficientAccuracyError, match="t_0 kept an imaginary residue"):
+            coefficient_table(ISING, 8, 1e-17)
+        assert threading.active_count() == before
+
+
+def test_a_lower_refusal_wins_over_an_earlier_higher_one(monkeypatch):
+    _with_cpus(monkeypatch, 4)
+    real, higher_failed = toeplitz._fourier_pair, threading.Event()
+
+    def fail_at_2_and_5(model, l, abs_tol, cuts, panels=None):
+        if l == 5:
+            higher_failed.set()
+            raise CoefficientAccuracyError("coefficient accuracy: t_5 refused", achieved=5.0)
+        if l == 2:
+            assert higher_failed.wait(10)
+            raise CoefficientAccuracyError("coefficient accuracy: t_2 refused", achieved=2.0)
+        return real(model, l, abs_tol, cuts, panels)
+
+    monkeypatch.setattr(toeplitz, "_fourier_pair", fail_at_2_and_5)
+    before = threading.active_count()
+    with pytest.raises(CoefficientAccuracyError, match="t_2 refused") as exc:
+        coefficient_table(XY, 8)
+    assert exc.value.achieved == 2.0
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])

@@ -267,27 +267,36 @@ def _root_clusters(p: np.ndarray):
     return clusters
 
 
-def classify_criticality(model: ModelSpec) -> SymbolProfile:
-    """Locate all dispersion zeros on [0, 2pi) and classify the model.
+def circle_zeros(model: ModelSpec) -> list[tuple[float, int]]:
+    """Zeros of the dispersion on [0, 2pi) as ``(angle, multiplicity)``.
 
     The zeros are the unit-circle roots of ``z^w lam(z)``, grouped into
     multiple roots by :func:`_root_clusters`.  A group whose centre lies
     within 1e-6 of ``|z| = 1`` gives a zero at the centre's angle
     (Newton-polished for a simple root), kept when ``|lam|`` there falls
-    below 1e-8 of the coefficient scale.  A zero of odd multiplicity flips
-    the sign of the symbol (a Fermi point, ``beta = 1/2``); a zero of even
-    multiplicity is tangential and reported as marginal.  The model is
-    critical exactly when it has Fermi points.
+    below 1e-8 of the coefficient scale.
     """
     c = _laurent(model)
     scale = float(np.abs(c).sum())
-    fermi: list[float] = []
-    marginal: list[float] = []
+    zeros = []
     for centre, m in _root_clusters(np.trim_zeros(c[::-1], "f")):
         if abs(abs(centre) - 1.0) >= _CIRCLE_TOL:
             continue
         k0 = _polish_zero(model, cmath.phase(centre)) if m == 1 else cmath.phase(centre)
         k0 = k0 % TWO_PI % TWO_PI      # the second % maps a tiny negative angle's 2pi to 0
         if abs(dispersion(model, k0)) < _ZERO_REL * scale:
-            (fermi if m % 2 else marginal).append(k0)
-    return SymbolProfile(tuple(sorted(fermi)), tuple(sorted(marginal)))
+            zeros.append((k0, m))
+    return zeros
+
+
+def classify_criticality(model: ModelSpec) -> SymbolProfile:
+    """Locate all dispersion zeros on [0, 2pi) and classify the model.
+
+    The zeros are those of :func:`circle_zeros`.  A zero of odd multiplicity
+    flips the sign of the symbol (a Fermi point, ``beta = 1/2``); a zero of
+    even multiplicity is tangential and reported as marginal.  The model is
+    critical exactly when it has Fermi points.
+    """
+    zeros = circle_zeros(model)
+    return SymbolProfile(tuple(sorted(k for k, m in zeros if m % 2)),
+                         tuple(sorted(k for k, m in zeros if not m % 2)))

@@ -1,7 +1,11 @@
 """Symbol Fourier coefficients, Toeplitz blocks, and their singular spectra.
 
 The coefficients ``t_l = (1/2pi) int_0^{2pi} g(k) exp(-i l k) dk`` fill the
-L x L block ``T[i, j] = t_{j-i}``.  Its singular values
+L x L block ``T[i, j] = t_{j-i}``.  They are exact sums over the arcs
+between zeros when the symbol is a step times a phase ``e^{i nu k}``: every
+isotropic symbol, and every symbol whose ``z^w lam(z)`` has all its roots on
+``|z| = 1`` or at 0, such as critical ising; any other symbol takes adaptive
+quadrature, whose tolerance the closed form does not read.  Its singular values
 ``mu_1 >= ... >= mu_L`` drive every entanglement quantity, so they are
 aggregated here once, in the log domain.  An isotropic block is symmetric and
 centrosymmetric, and its singular values are the absolute eigenvalues of two
@@ -17,10 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial import polynomial
 from scipy.special import xlogy
 
 from .errors import CoefficientAccuracyError, DecompositionError, ModelError
-from .model import TWO_PI, ModelSpec, SymbolProfile, classify_criticality, dispersion, symbol_eval
+from .model import (TWO_PI, ModelSpec, SymbolProfile, _laurent, circle_zeros,
+                    classify_criticality, dispersion, symbol_eval)
 
 LN2 = math.log(2.0)
 
@@ -31,6 +37,10 @@ MAX_L = 4096
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 _NODE_BUDGET = 1 << 16    # max symbol evaluations per coefficient
 _OSC_PER_PANEL = 6.0      # oscillations of exp(-ilk) served by one 64-node panel
+_EPS = np.finfo(float).eps
+_REBUILD_ULPS = 16        # closed form: rebuilt z^w lam off by at most this many eps
+_STEP_ULPS = 64           # closed form: lam at arc midpoints off the step pattern
+_RESIDUE_TOL = 1e-12      # closed form: largest imaginary part of a t_l
 
 
 @dataclass(frozen=True)
@@ -43,7 +53,7 @@ class ToeplitzCoeffs:
 
     L: int
     t: np.ndarray
-    method: str          # "closed_form" | "quadrature"
+    method: str          # "closed_form" (step times phase, exact) | "quadrature" (to abs_tol)
 
     def coeff(self, l: int) -> float:
         if abs(l) >= self.L:
@@ -51,34 +61,81 @@ class ToeplitzCoeffs:
         return float(self.t[self.L - 1 + l])
 
 
-def _closed_form(model: ModelSpec, profile: SymbolProfile, L: int) -> np.ndarray:
-    """Exact ``t_0 .. t_{L-1}`` of an isotropic symbol, which is ``sign(lam)``.
+def _step_phase(model: ModelSpec):
+    """``nu`` of a symbol ``g(k) = h_i e^{i nu k}`` with ``h_i`` constant
+    between zeros, or None when ``g`` is not certified of that form.
 
-    Between consecutive zeros ``c_i`` the symbol is a constant ``s_i = +-1``
-    (the sign of ``lam`` at the arc midpoint), so
-    ``t_0 = sum_i s_i |arc_i| / 2pi`` and
-    ``t_l = -sum_i ds_i sin(l c_i) / (2pi l)`` with ``ds_i`` the sign change
-    at ``c_i`` (zero at marginal points).  ``t_{-l} = t_l``.  Raises unless
-    the signs flip exactly at the Fermi points, which catches a zero the
-    classifier missed or mis-typed and a midpoint sign lost to rounding.
+    Isotropic symbols are ``sign(lam)``: ``nu = 0``.  Otherwise ``z^w lam``
+    must be ``c z^m prod_j (z - z_j)^{m_j}`` over the zeros ``z_j = e^{ik_j}``
+    of :func:`circle_zeros`, n in all with multiplicity; each factor is
+    ``2i e^{i(k + k_j)/2} sin((k - k_j)/2)``, so ``nu = m - w + n/2``.  The
+    rebuilt coefficients must match to rounding: a zero with cofactor ``R_j``
+    is located to ``eps scale / |R_j(z_j)|``, and moving it that far moves
+    them by ``m_j 2^(m_j-1) |R_j|_1`` times as much.
+    """
+    if model.isotropic:
+        return 0.0
+    c = _laurent(model)
+    m, d = np.flatnonzero(c)[[0, -1]]
+    zeros = [(np.exp(1j * k), mult) for k, mult in circle_zeros(model)]
+    if sum(mult for _, mult in zeros) != d - m:
+        return None
+
+    def rebuilt(skip=None):
+        return c[d] * polynomial.polyfromroots(
+            [z for j, (z, mult) in enumerate(zeros) if j != skip for _ in range(mult)])
+
+    spread = 1.0 + sum(mult * 2 ** (mult - 1) * np.abs(rebuilt(j)).sum()
+                       / abs(polynomial.polyval(z, rebuilt(j))) for j, (z, mult) in enumerate(zeros))
+    if np.abs(rebuilt() - c[m:d + 1]).max() > _REBUILD_ULPS * _EPS * np.abs(c).sum() * spread:
+        return None
+    return m - model.w + (d - m) / 2
+
+
+def _closed_form(model: ModelSpec, profile: SymbolProfile, nu: float, L: int) -> np.ndarray:
+    """Exact ``t_{-(L-1)} .. t_{L-1}`` of ``g(k) = h_i e^{i nu k}``, ``h_i``
+    constant on the arc ``(c_i, c_{i+1})`` between zeros.
+
+    ``h_i = s_i u``: the sign ``s_i`` flips at each Fermi point, and ``u`` is
+    the phase on the arc of largest ``|lam|``.  By parts, ``t_l = u sum_i ds_i
+    e^{-i f c_i} / (2pi i f)`` with ``f = l - nu`` and ``ds_i`` the step of
+    ``s`` at ``c_i``, taken from ``s_{n-1} e^{2pi i nu}`` at the first zero
+    (``g`` has period 2pi); at ``f = 0``, ``t_l = u sum_i s_i |arc_i| / 2pi``.
+    Raises unless ``lam e^{-i nu k}`` at every arc midpoint is ``|lam| s_i u``
+    to rounding, which catches a zero the classifier missed or mis-typed, and
+    unless every ``t_l`` comes out real.
     """
     zeros = sorted(profile.fermi_points + profile.marginal_points) or [0.0]
     edges = np.array(zeros + [zeros[0] + TWO_PI])
-    lam = dispersion(model, 0.5 * (edges[:-1] + edges[1:]) % TWO_PI).real
-    signs = np.sign(lam)
-    ds = signs - np.roll(signs, 1)
-    flips = np.isin(edges[:-1], profile.fermi_points)
-    if np.any((np.abs(ds) == 2) != flips):
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    lam = dispersion(model, mid % TWO_PI) * np.exp(-1j * nu * mid)
+    flips = np.where(np.isin(edges[:-1], profile.fermi_points), -1.0, 1.0)
+    twist = (-1.0) ** round(2 * nu)
+    s = np.cumprod(flips) * flips[0]
+    a = int(np.argmax(np.abs(lam)))
+    mag = abs(lam[a])     # part by part: numpy's complex division can miss -1 by an ulp
+    u = s[a] * complex(lam[a].real / mag, lam[a].imag / mag)
+    off = float(np.abs(lam - np.abs(lam) * s * u).max() / np.abs(_laurent(model)).sum())
+    if not (off <= _STEP_ULPS * _EPS and np.prod(flips) * twist == 1.0):
         raise CoefficientAccuracyError(
             "coefficient accuracy: symbol signs between the zeros do not flip "
-            "exactly at the Fermi points",
-            achieved=float(np.abs(lam).min() / np.abs(lam).max()),
-        )
-    l = np.arange(1, L)
-    t = np.empty(L)
-    t[0] = signs @ np.diff(edges) / TWO_PI
-    t[1:] = np.sin(np.outer(l, edges[:-1])) @ ds / (-TWO_PI * l)
-    return t
+            "exactly at the Fermi points", achieved=off)
+    ds = s - np.roll(s, 1) * np.where(np.arange(s.size) == 0, twist, 1.0)
+
+    def series(f):      # (Re t, Im t) at f = l - nu
+        phi, den = np.outer(f, edges[:-1]), -TWO_PI * f
+        re = np.divide(np.sin(phi) @ ds, den, out=np.full(f.size, s @ np.diff(edges) / TWO_PI),
+                       where=f != 0)
+        im = np.divide(np.cos(phi) @ ds, den, out=np.zeros(f.size), where=f != 0)
+        return u.real * re - u.imag * im, u.real * im + u.imag * re
+
+    t_plus, im_plus = series(np.arange(L) - nu)
+    t_minus, im_minus = (t_plus, im_plus) if model.isotropic else series(-np.arange(L) - nu)
+    residue = float(max(np.abs(im_plus).max(), np.abs(im_minus).max()))
+    if residue > _RESIDUE_TOL:
+        raise CoefficientAccuracyError(
+            "coefficient accuracy: closed-form t_l kept an imaginary residue", achieved=residue)
+    return np.concatenate([t_minus[:0:-1], t_plus])
 
 
 def _panel_set(model, lo, hi, n_panels):
@@ -153,8 +210,11 @@ def _quadrature_range(model, ls, abs_tol, cuts):
 
 def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
                       profile: SymbolProfile | None = None) -> ToeplitzCoeffs:
-    """Tabulate ``t_l`` for ``|l| < L``: closed form for isotropic models,
-    adaptive quadrature split at the symbol's zeros otherwise, which computes
+    """Tabulate ``t_l`` for ``|l| < L``: the exact closed form for a symbol
+    certified a step times a phase (every isotropic symbol, and every symbol
+    whose ``z^w lam(z)`` has all its roots on the unit circle or at 0; see
+    :func:`_step_phase`), which ignores ``abs_tol``; otherwise adaptive
+    quadrature to ``abs_tol``, split at the symbol's zeros, which computes
     each panel set's weighted symbol once for all the coefficients that use it.
 
     The quadrature table runs on every CPU in the process's affinity set, one
@@ -171,9 +231,9 @@ def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
         raise ModelError("abs_tol must be positive and finite")
     if profile is None:
         profile = classify_criticality(model)
-    if model.isotropic:
-        half = _closed_form(model, profile, L)
-        t = np.concatenate([half[:0:-1], half])
+    nu = _step_phase(model)
+    if nu is not None:
+        t = _closed_form(model, profile, nu, L)
         method = "closed_form"
     else:
         cuts = sorted(set(profile.fermi_points) | set(profile.marginal_points))

@@ -18,6 +18,7 @@ from singlecopy.toeplitz import (
     spectrum_from_singular_values,
     _fourier_pair,
 )
+from test_generated_tables import _model_from_laurent
 
 XX2 = build_model("xx", a=2)
 ISING = build_model("ising")
@@ -71,16 +72,19 @@ def test_quadrature_matches_closed_form(a):
         assert tm == pytest.approx(tab.coeff(-l), abs=1e-10)
 
 
-# ising(2k): two Fermi points, so two quadrature intervals of equal width that
-# ask for the same panel counts; a panel cache keyed on the count alone fails it
-ISING_2K = build_model("custom", A=(-1, 0, 0.5), B=(0, -0.25))
+# critical xy(1, 0.5): z lam(z) has the roots 1 and 1/3, so the symbol is not a
+# step times a phase and its table stays on quadrature
+XY_CRIT = build_model("xy", a=1, gamma=0.5)
+# xy(1, 0.5) at 2k: two Fermi points, so two quadrature intervals of equal width
+# that ask for the same panel counts; a panel cache keyed on the count alone fails it
+XY_CRIT_2K = build_model("custom", A=(-1, 0, 0.5), B=(0, -0.125))
 SHARED_PANEL_CASES = {
     "xy": (XY, 1e-12),
-    "ising": (ISING, 1e-12),
+    "xy-crit": (XY_CRIT, 1e-12),
     "xy-0.7-0.4": (build_model("xy", a=0.7, gamma=0.4), 1e-12),
     # gapped; 31 of its first 300 coefficients double their panels more than once
     "custom-gapped": (build_model("custom", A=(0.2, -0.4, -1), B=(0.3, 0.1)), 1e-12),
-    "ising-2k": (ISING_2K, 1e-12),
+    "xy-crit-2k": (XY_CRIT_2K, 1e-12),
     "xy-tight": (XY, 1e-14),   # 14 coefficients reach four times their first panel count
 }
 
@@ -120,13 +124,13 @@ def test_shared_panel_sets_are_bit_identical(name, monkeypatch):
 
 
 def test_panel_cache_keeps_only_the_current_coefficients_sets():
-    cuts = _cuts(ISING_2K)
+    cuts = _cuts(XY_CRIT_2K)
     assert len(cuts) == 2
     shared = {}
     for l in range(300):
         own = {}
-        assert _fourier_pair(ISING_2K, l, 1e-12, cuts, shared) == _fourier_pair(
-            ISING_2K, l, 1e-12, cuts, own)
+        assert _fourier_pair(XY_CRIT_2K, l, 1e-12, cuts, shared) == _fourier_pair(
+            XY_CRIT_2K, l, 1e-12, cuts, own)
         assert shared.keys() == own.keys()
 
 
@@ -141,7 +145,7 @@ def test_quadrature_refusals_keep_their_messages(monkeypatch):
         with pytest.raises(CoefficientAccuracyError, match="t_1 quadrature exhausted its node budget"):
             coefficient_table(XY, 8, 1e-17)
         with pytest.raises(CoefficientAccuracyError, match="t_0 kept an imaginary residue"):
-            coefficient_table(ISING, 8, 1e-17)
+            coefficient_table(XY_CRIT, 8, 1e-17)
         assert threading.active_count() == before
 
 
@@ -168,8 +172,66 @@ def test_a_lower_refusal_wins_over_an_earlier_higher_one(monkeypatch):
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
 def test_coefficient_table_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
-    with pytest.raises(ModelError, match="positive and finite"):
-        coefficient_table(XY, 8, tol)
+    # the closed-form tables ignore the tolerance but still refuse a bad one
+    for model in (XY, ISING, XX2):
+        with pytest.raises(ModelError, match="positive and finite"):
+            coefficient_table(model, 8, tol)
+
+
+def test_ising_takes_its_exact_coefficients():
+    # ising's symbol is i e^{ik/2} on (0, 2pi): t_l = 2 / (pi (2l - 1))
+    L = 2048
+    tab = coefficient_table(ISING, L)
+    assert tab.method == "closed_form"
+    l = np.arange(1 - L, L)
+    assert np.abs(tab.t - 2 / (np.pi * (2 * l - 1))).max() <= 1e-16
+
+
+# lam = lam_ising prod_j (cos k - cos x_j): the factors leave ising's symbol
+# i e^{ik/2} where their product is positive and negate it on the given arcs
+ISING_TIMES = {
+    "tangential": ([1, 1], [], 1e-14),
+    "triple": ([1, 1, 1], [(1, 2 * math.pi - 1)], 1e-14),
+    # the rounded couplings move these zeros by up to 2.5e-12; without the
+    # zeros' conditioning the rebuilt polynomial would miss by 528 eps
+    "close-pair": ([0.5, 0.5005], [(0.5, 0.5005), (2 * math.pi - 0.5005, 2 * math.pi - 0.5)], 1e-11),
+}
+
+
+@pytest.mark.parametrize("name", list(ISING_TIMES))
+def test_ising_times_cosine_factors_is_exact(name):
+    xs, arcs, tol = ISING_TIMES[name]
+    c = np.array([-1.0, 1.0])               # z lam_ising(z)
+    for x in xs:
+        c = np.convolve(c, [0.5, -math.cos(x), 0.5])
+    model = _model_from_laurent(np.concatenate([[0.0], c]))
+    tab = coefficient_table(model, 64)
+    assert tab.method == "closed_form"
+    f = 0.5 - np.arange(1 - 64, 64)       # t_l = (1/2pi) int +-i e^{ifk} dk, f = 1/2 - l
+    exact = -2 / f - sum(2 * (np.exp(1j * f * b) - np.exp(1j * f * a)) / f for a, b in arcs)
+    assert np.abs(tab.t - (exact / (2 * math.pi)).real).max() <= tol
+
+
+def test_a_root_just_inside_the_circle_gets_no_closed_form():
+    # z lam(z) = z (z - r): the classifier counts the root r = 1 - 1e-9 as a
+    # Fermi point at k = 0, but z (z - 1) misses the couplings by 1e-9, so
+    # the table is not certified a step times a phase and goes to quadrature
+    model = build_model("custom", A=(-(1 - 1e-9), 0.5), B=(-0.25,))
+    prof = classify_criticality(model)
+    assert prof.fermi_points == (0.0,)
+    assert toeplitz._step_phase(model) is None
+    with pytest.raises(CoefficientAccuracyError, match="t_0 quadrature exhausted its node budget"):
+        coefficient_table(model, 8)
+
+
+@pytest.mark.parametrize("L", [64, 256, 1024])
+def test_ising_entropy_is_half_the_xx_entropy_at_twice_the_length(L):
+    # Igloi & Juhasz, EPL 81, 57003 (2008): S_ising(L) = S_xx(2L) / 2 for the
+    # xx chain at half filling
+    xx = build_model("custom", A=(0, 1))
+    s_ising = block_spectrum(build_T(ISING, L)).entropy_bits
+    s_xx = block_spectrum(build_T(xx, 2 * L)).entropy_bits
+    assert s_ising == pytest.approx(s_xx / 2, abs=1e-9)
 
 
 def test_near_coincident_fermi_points_closed_form():

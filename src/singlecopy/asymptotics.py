@@ -159,6 +159,8 @@ def fit_log(series: ScanSeries, quantity: str, window=None, two_term: bool = Fal
     rms = float(np.sqrt(np.mean(resid ** 2)))
     two = None
     if two_term:
+        if Ls.min() < 2:
+            raise ModelError("the two-term fit needs every L >= 2: log2(log2 1) is -inf")
         design3 = np.vstack([x, np.log2(x), np.ones_like(x)]).T
         c3, *_ = np.linalg.lstsq(design3, y, rcond=None)
         two = TwoTermFit(float(c3[0]), float(c3[1]), float(c3[2]))

@@ -14,8 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .asymptotics import (SCAN_FIELDS, ScanSeries, fh_slope, fit_log, geometric_grid,
-                          integral_check, scan)
+from .asymptotics import SCAN_FIELDS, fh_slope, fit_log, geometric_grid, integral_check, scan
 from .entangle import MAX_EP_DIMS, nielsen_transformable, probabilistic_Ep, report, single_copy_E1
 from .errors import ToolkitError
 from .model import build_model
@@ -96,7 +95,8 @@ def build_parser() -> _Parser:
             p.add_argument("--tol", type=float, default=1e-12)
         p.add_argument("--out", default=None, metavar="PATH")
         if name != "check":
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+            p.add_argument("--format", choices=("json", "csv") if name == "scan" else ("json",),
+                           default="json")
     return parser
 
 
@@ -133,13 +133,9 @@ def _emit_text(text: str, out_path):
 
 
 def emit(result, fmt: str, out_path) -> None:
-    """Serialize one result dataclass to its destination (CSV for scan series only)."""
-    if fmt == "csv":
-        if not isinstance(result, ScanSeries):
-            raise UsageError("csv output is only defined for scan series")
-        _emit_text(scan_to_csv(result), out_path)
-    else:
-        _emit_text(dumps(to_dict(result)), out_path)
+    """Serialize one result dataclass to its destination (CSV, which only
+    ``scan`` accepts, for a scan series)."""
+    _emit_text(scan_to_csv(result) if fmt == "csv" else dumps(to_dict(result)), out_path)
 
 
 def _cmd_analyze(args):

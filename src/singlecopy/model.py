@@ -10,7 +10,10 @@ defines the unimodular symbol ``g(k) = lam(k) / |lam(k)|``.  Zeros of the
 dispersion make ``g`` jump; the chain is classified as critical exactly
 when such jumps exist (Fermi points).  Tangential zeros (even
 multiplicity), where the one-sided limits of ``g`` coincide, are reported
-as marginal instead.
+as marginal instead.  This module is the one symbol analysis: one root pass
+over ``z^w lam(z)`` finds the zeros, polishes each with one Newton step and
+certifies from them whether ``g`` is a step times a phase, the form the
+coefficient layer tabulates in closed form.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial
 
 from .errors import ModelError, SymbolSingularError
 
@@ -30,6 +34,8 @@ SINGULAR_FLOOR = 1e-300
 
 _ZERO_REL = 1e-8       # polished |lam| below this (times scale) counts as a zero
 _CIRCLE_TOL = 1e-6     # max distance of a zero's root cluster from |z| = 1
+_EPS = np.finfo(float).eps
+_REBUILD_ULPS = 16     # step phase: rebuilt z^w lam off by at most this many eps
 
 
 @dataclass(frozen=True)
@@ -84,11 +90,14 @@ class SymbolProfile:
     A Fermi point (odd multiplicity) flips the sign of the symbol, a jump
     with exponent ``beta = 1/2``; a marginal point (even multiplicity) is
     tangential and leaves the symbol continuous.  The model is critical
-    exactly when it has Fermi points.
+    exactly when it has Fermi points.  ``step_phase`` is the ``nu`` of a
+    symbol certified ``h_i e^{i nu k}`` with ``h_i`` constant between the
+    zeros, or None when it is not certified of that form.
     """
 
     fermi_points: tuple[float, ...]
     marginal_points: tuple[float, ...] = ()
+    step_phase: float | None = None
 
     @property
     def critical(self) -> bool:
@@ -159,8 +168,8 @@ def _laurent(model: ModelSpec) -> np.ndarray:
     return np.concatenate([(A + 2.0 * B)[:0:-1], A - 2.0 * B])
 
 
-def _lam_derivative(model: ModelSpec, k, m: int):
-    """``d^m lam / dk^m``, term by term.
+def dispersion(model: ModelSpec, k):
+    """Evaluate ``lam(k)``; accepts scalars or arrays, returns complex.
 
     Each Laurent pair ``c_j e^{ijk} + c_{-j} e^{-ijk}`` of :func:`_laurent`
     is written in the couplings, ``2 A_j cos(jk) - 4i B_j sin(jk)``, which
@@ -168,19 +177,11 @@ def _lam_derivative(model: ModelSpec, k, m: int):
     ``lam`` exactly real.
     """
     karr = np.asarray(k, dtype=float)
-    out = np.full(karr.shape, model.A[0] if m == 0 else 0.0, dtype=complex)
+    out = np.full(karr.shape, model.A[0], dtype=complex)
     for j in range(1, model.w + 1):
-        rot = (1j * j) ** m
-        sym, anti = 2.0 * model.A[j], -4.0 * model.B[j - 1]
-        cos_c, sin_c = (sym, anti) if m % 2 == 0 else (anti, sym)
-        out += rot * cos_c * np.cos(j * karr)
-        out += rot * 1j * sin_c * np.sin(j * karr)
+        out += 2.0 * model.A[j] * np.cos(j * karr)
+        out += 1j * (-4.0 * model.B[j - 1]) * np.sin(j * karr)
     return complex(out) if karr.ndim == 0 else out
-
-
-def dispersion(model: ModelSpec, k):
-    """Evaluate ``lam(k)``; accepts scalars or arrays, returns complex."""
-    return _lam_derivative(model, k, 0)
 
 
 def symbol_eval(model: ModelSpec, k):
@@ -200,36 +201,9 @@ def symbol_eval(model: ModelSpec, k):
     return lam / mag
 
 
-def _polish_zero(model, k0):
-    """Newton-polish a transversal dispersion zero to machine precision.
-
-    Iterates on the projection of lam along its local direction; keeps the
-    input angle when no improvement is possible, or when a step would move
-    it by more than 1e-6 (flat ``lam`` next to another zero).
-    """
-    best = k0
-    best_mag = abs(dispersion(model, k0))
-    k = k0
-    for _ in range(8):
-        lam = dispersion(model, k)
-        dlam = _lam_derivative(model, k, 1)
-        denom = (dlam.conjugate() * dlam).real
-        if denom < 1e-30:
-            break
-        step = (dlam.conjugate() * lam).real / denom
-        if abs(step) > _CIRCLE_TOL:
-            break
-        k -= step
-        mag = abs(dispersion(model, k))
-        if mag < best_mag:
-            best, best_mag = k, mag
-        if abs(step) < 1e-15:
-            break
-    return best
-
-
 def _root_clusters(p: np.ndarray):
-    """Group the roots of the polynomial ``p`` into ``(centre, multiplicity)``.
+    """Group the roots of the polynomial ``p`` into Newton-polished
+    ``(centre, multiplicity)``.
 
     Rounding splits an m-fold root into m roots about ``eps^(1/m)`` apart,
     while the root of ``p^(m-1)`` near their mean stays accurate.  Starting
@@ -239,7 +213,9 @@ def _root_clusters(p: np.ndarray):
     ``p`` of order below m vanish there to the rounding bound of Horner's
     rule (``2 deg eps`` times the same terms of ``|p|``); the largest such m
     wins.  Zeros whose separating values of ``p`` stay below that bound
-    cannot be told apart and merge.
+    cannot be told apart and merge.  A simple root takes the same step on
+    ``p`` itself, and keeps its unpolished value if the step would leave it
+    nearer another root.
     """
     roots = np.roots(p)
     abs_p = np.abs(p)
@@ -250,18 +226,18 @@ def _root_clusters(p: np.ndarray):
         order = left[np.argsort(np.abs(roots[left] - roots[left[0]]))]
         for m in range(left.size, 0, -1):
             centre = roots[order[:m]].mean()
-            if m == 1:
-                break
             d = np.polyder(p, m - 1)
             slope = np.polyval(np.polyder(d), centre)
             if slope == 0:
                 continue
-            centre -= np.polyval(d, centre) / slope
-            nearest = np.argsort(np.abs(roots - centre))[:m]
-            if set(nearest) == set(order[:m]) and all(
-                    abs(np.polyval(np.polyder(p, j), centre))
-                    <= tol * np.polyval(np.polyder(abs_p, j), abs(centre)) for j in range(m)):
+            step = centre - np.polyval(d, centre) / slope
+            nearest = np.argsort(np.abs(roots - step))[:m]
+            if set(nearest) == set(order[:m]) and (m == 1 or all(
+                    abs(np.polyval(np.polyder(p, j), step))
+                    <= tol * np.polyval(np.polyder(abs_p, j), abs(step)) for j in range(m))):
+                centre = step
                 break
+        # a simple root whose step is refused leaves the loop unpolished, m = 1
         clusters.append((complex(centre), m))
         left = order[m:]
     return clusters
@@ -271,10 +247,10 @@ def circle_zeros(model: ModelSpec) -> list[tuple[float, int]]:
     """Zeros of the dispersion on [0, 2pi) as ``(angle, multiplicity)``.
 
     The zeros are the unit-circle roots of ``z^w lam(z)``, grouped into
-    multiple roots by :func:`_root_clusters`.  A group whose centre lies
-    within 1e-6 of ``|z| = 1`` gives a zero at the centre's angle
-    (Newton-polished for a simple root), kept when ``|lam|`` there falls
-    below 1e-8 of the coefficient scale.
+    multiple roots and Newton-polished once by :func:`_root_clusters`.  A
+    group whose centre lies within 1e-6 of ``|z| = 1`` gives a zero at the
+    centre's angle, kept when ``|lam|`` there falls below 1e-8 of the
+    coefficient scale.
     """
     c = _laurent(model)
     scale = float(np.abs(c).sum())
@@ -282,11 +258,41 @@ def circle_zeros(model: ModelSpec) -> list[tuple[float, int]]:
     for centre, m in _root_clusters(np.trim_zeros(c[::-1], "f")):
         if abs(abs(centre) - 1.0) >= _CIRCLE_TOL:
             continue
-        k0 = _polish_zero(model, cmath.phase(centre)) if m == 1 else cmath.phase(centre)
-        k0 = k0 % TWO_PI % TWO_PI      # the second % maps a tiny negative angle's 2pi to 0
+        k0 = cmath.phase(centre) % TWO_PI % TWO_PI   # the second % maps a tiny negative angle's 2pi to 0
         if abs(dispersion(model, k0)) < _ZERO_REL * scale:
             zeros.append((k0, m))
     return zeros
+
+
+def _step_phase(model: ModelSpec, zeros):
+    """``nu`` of a symbol ``g(k) = h_i e^{i nu k}`` with ``h_i`` constant
+    between zeros, or None when ``g`` is not certified of that form.
+
+    Isotropic symbols are ``sign(lam)``: ``nu = 0``.  Otherwise ``z^w lam``
+    must be ``c z^m prod_j (z - z_j)^{m_j}`` over the zeros ``z_j = e^{ik_j}``
+    of :func:`circle_zeros`, n in all with multiplicity; each factor is
+    ``2i e^{i(k + k_j)/2} sin((k - k_j)/2)``, so ``nu = m - w + n/2``.  The
+    rebuilt coefficients must match to rounding: a zero with cofactor ``R_j``
+    is located to ``eps scale / |R_j(z_j)|``, and moving it that far moves
+    them by ``m_j 2^(m_j-1) |R_j|_1`` times as much.
+    """
+    if model.isotropic:
+        return 0.0
+    c = _laurent(model)
+    m, d = np.flatnonzero(c)[[0, -1]]
+    zeros = [(np.exp(1j * k), mult) for k, mult in zeros]
+    if sum(mult for _, mult in zeros) != d - m:
+        return None
+
+    def rebuilt(skip=None):
+        return c[d] * polynomial.polyfromroots(
+            [z for j, (z, mult) in enumerate(zeros) if j != skip for _ in range(mult)])
+
+    spread = 1.0 + sum(mult * 2 ** (mult - 1) * np.abs(rebuilt(j)).sum()
+                       / abs(polynomial.polyval(z, rebuilt(j))) for j, (z, mult) in enumerate(zeros))
+    if np.abs(rebuilt() - c[m:d + 1]).max() > _REBUILD_ULPS * _EPS * np.abs(c).sum() * spread:
+        return None
+    return m - model.w + (d - m) / 2
 
 
 def classify_criticality(model: ModelSpec) -> SymbolProfile:
@@ -295,8 +301,10 @@ def classify_criticality(model: ModelSpec) -> SymbolProfile:
     The zeros are those of :func:`circle_zeros`.  A zero of odd multiplicity
     flips the sign of the symbol (a Fermi point, ``beta = 1/2``); a zero of
     even multiplicity is tangential and reported as marginal.  The model is
-    critical exactly when it has Fermi points.
+    critical exactly when it has Fermi points.  The same zeros certify the
+    symbol a step times a phase (:func:`_step_phase`).
     """
     zeros = circle_zeros(model)
     return SymbolProfile(tuple(sorted(k for k, m in zeros if m % 2)),
-                         tuple(sorted(k for k, m in zeros if not m % 2)))
+                         tuple(sorted(k for k, m in zeros if not m % 2)),
+                         _step_phase(model, zeros))

@@ -5,11 +5,14 @@ L x L block ``T[i, j] = t_{j-i}``.  They are exact sums over the arcs
 between zeros when the symbol is a step times a phase ``e^{i nu k}``: every
 isotropic symbol, and every symbol whose ``z^w lam(z)`` has all its roots on
 ``|z| = 1`` or at 0, such as critical ising; any other symbol takes adaptive
-quadrature, whose tolerance the closed form does not read.  Its singular values
-``mu_1 >= ... >= mu_L`` drive every entanglement quantity, so they are
-aggregated here once, in the log domain.  An isotropic block is symmetric and
-centrosymmetric, and its singular values are the absolute eigenvalues of two
-half-size symmetric blocks; any other block takes a dense SVD.
+quadrature, whose tolerance the closed form does not read.  Both read the
+zeros and the step-phase certificate from the symbol profile of
+:func:`~singlecopy.model.classify_criticality` and find no roots themselves.
+The block's singular values ``mu_1 >= ... >= mu_L`` drive every entanglement
+quantity, so they are aggregated here once, in the log domain.  An isotropic
+block is symmetric and centrosymmetric, and its singular values are the
+absolute eigenvalues of two half-size symmetric blocks; any other block takes
+a dense SVD.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from numpy.polynomial import polynomial
 from scipy.special import xlogy
 
 from .errors import CoefficientAccuracyError, DecompositionError, ModelError
-from .model import (TWO_PI, ModelSpec, SymbolProfile, _laurent, circle_zeros,
-                    classify_criticality, dispersion, symbol_eval)
+from .model import (TWO_PI, ModelSpec, SymbolProfile, _laurent, classify_criticality,
+                    dispersion, symbol_eval)
 
 LN2 = math.log(2.0)
 
@@ -38,7 +40,6 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 _NODE_BUDGET = 1 << 16    # max symbol evaluations per coefficient
 _OSC_PER_PANEL = 6.0      # oscillations of exp(-ilk) served by one 64-node panel
 _EPS = np.finfo(float).eps
-_REBUILD_ULPS = 16        # closed form: rebuilt z^w lam off by at most this many eps
 _STEP_ULPS = 64           # closed form: lam at arc midpoints off the step pattern
 _RESIDUE_TOL = 1e-12      # closed form: largest imaginary part of a t_l
 
@@ -61,40 +62,10 @@ class ToeplitzCoeffs:
         return float(self.t[self.L - 1 + l])
 
 
-def _step_phase(model: ModelSpec):
-    """``nu`` of a symbol ``g(k) = h_i e^{i nu k}`` with ``h_i`` constant
-    between zeros, or None when ``g`` is not certified of that form.
-
-    Isotropic symbols are ``sign(lam)``: ``nu = 0``.  Otherwise ``z^w lam``
-    must be ``c z^m prod_j (z - z_j)^{m_j}`` over the zeros ``z_j = e^{ik_j}``
-    of :func:`circle_zeros`, n in all with multiplicity; each factor is
-    ``2i e^{i(k + k_j)/2} sin((k - k_j)/2)``, so ``nu = m - w + n/2``.  The
-    rebuilt coefficients must match to rounding: a zero with cofactor ``R_j``
-    is located to ``eps scale / |R_j(z_j)|``, and moving it that far moves
-    them by ``m_j 2^(m_j-1) |R_j|_1`` times as much.
-    """
-    if model.isotropic:
-        return 0.0
-    c = _laurent(model)
-    m, d = np.flatnonzero(c)[[0, -1]]
-    zeros = [(np.exp(1j * k), mult) for k, mult in circle_zeros(model)]
-    if sum(mult for _, mult in zeros) != d - m:
-        return None
-
-    def rebuilt(skip=None):
-        return c[d] * polynomial.polyfromroots(
-            [z for j, (z, mult) in enumerate(zeros) if j != skip for _ in range(mult)])
-
-    spread = 1.0 + sum(mult * 2 ** (mult - 1) * np.abs(rebuilt(j)).sum()
-                       / abs(polynomial.polyval(z, rebuilt(j))) for j, (z, mult) in enumerate(zeros))
-    if np.abs(rebuilt() - c[m:d + 1]).max() > _REBUILD_ULPS * _EPS * np.abs(c).sum() * spread:
-        return None
-    return m - model.w + (d - m) / 2
-
-
-def _closed_form(model: ModelSpec, profile: SymbolProfile, nu: float, L: int) -> np.ndarray:
+def _closed_form(model: ModelSpec, profile: SymbolProfile, L: int) -> np.ndarray:
     """Exact ``t_{-(L-1)} .. t_{L-1}`` of ``g(k) = h_i e^{i nu k}``, ``h_i``
-    constant on the arc ``(c_i, c_{i+1})`` between zeros.
+    constant on the arc ``(c_i, c_{i+1})`` between zeros, ``nu`` the
+    profile's ``step_phase``.
 
     ``h_i = s_i u``: the sign ``s_i`` flips at each Fermi point, and ``u`` is
     the phase on the arc of largest ``|lam|``.  By parts, ``t_l = u sum_i ds_i
@@ -105,6 +76,7 @@ def _closed_form(model: ModelSpec, profile: SymbolProfile, nu: float, L: int) ->
     to rounding, which catches a zero the classifier missed or mis-typed, and
     unless every ``t_l`` comes out real.
     """
+    nu = profile.step_phase
     zeros = sorted(profile.fermi_points + profile.marginal_points) or [0.0]
     edges = np.array(zeros + [zeros[0] + TWO_PI])
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -167,7 +139,7 @@ def _fourier_pair(model, l, abs_tol, cuts, panels=None):
     total_minus = 0.0 + 0.0j
     for lo, hi in intervals:
         width = hi - lo
-        tol_i = 0.5 * abs_tol * width   # width-proportional share of 2*pi*abs_tol
+        tol_i = 0.5 * abs_tol * TWO_PI / len(intervals)   # equal share of 2*pi*abs_tol
         n = max(1, math.ceil(width * max(l, 1) / (TWO_PI * _OSC_PER_PANEL)))
         prev = None
         while True:
@@ -212,8 +184,8 @@ def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
                       profile: SymbolProfile | None = None) -> ToeplitzCoeffs:
     """Tabulate ``t_l`` for ``|l| < L``: the exact closed form for a symbol
     certified a step times a phase (every isotropic symbol, and every symbol
-    whose ``z^w lam(z)`` has all its roots on the unit circle or at 0; see
-    :func:`_step_phase`), which ignores ``abs_tol``; otherwise adaptive
+    whose ``z^w lam(z)`` has all its roots on the unit circle or at 0: the
+    profile's ``step_phase``), which ignores ``abs_tol``; otherwise adaptive
     quadrature to ``abs_tol``, split at the symbol's zeros, which computes
     each panel set's weighted symbol once for all the coefficients that use it.
 
@@ -231,9 +203,8 @@ def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
         raise ModelError("abs_tol must be positive and finite")
     if profile is None:
         profile = classify_criticality(model)
-    nu = _step_phase(model)
-    if nu is not None:
-        t = _closed_form(model, profile, nu, L)
+    if profile.step_phase is not None:
+        t = _closed_form(model, profile, L)
         method = "closed_form"
     else:
         cuts = sorted(set(profile.fermi_points) | set(profile.marginal_points))

@@ -146,6 +146,34 @@ def test_two_term_with_determinant_fit_is_usage_error(capsys):
     assert "--two-term" in err
 
 
+def test_two_term_fit_through_L_1_is_numerical_failure(capsys):
+    # log2(log2 1) = -inf would enter the two-term design matrix
+    code, out, err = run_cli(["fit", "--model", "xx", "--a", "2", "--L-min", "1",
+                              "--L-max", "64", "--two-term"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "L >= 2" in err
+
+
+@pytest.mark.parametrize("sub", [
+    ["analyze", "--model", "xx", "--a", "2", "--L", "8"],
+    ["fit", "--model", "xx", "--a", "2", "--L-min", "8", "--L-max", "32"],
+    ["oracle", "--model", "xx", "--a", "2", "--n", "10", "--L", "5"],
+], ids=["analyze", "fit", "oracle"])
+def test_csv_format_outside_scan_is_refused_before_computing(sub, capsys, monkeypatch):
+    import singlecopy.cli as cli
+
+    def computed(*args, **kwargs):
+        raise AssertionError("the subcommand computed before refusing --format csv")
+
+    for name in ("report", "scan", "compare_oracle"):
+        monkeypatch.setattr(cli, name, computed)
+    code, out, err = run_cli(sub + ["--format", "csv"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "invalid choice: 'csv'" in err
+
+
 def test_numerical_failure_exit_2(capsys):
     # n = 8 hits the exact zero mode of the open xx(2) chain
     code, _, err = run_cli(

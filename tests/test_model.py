@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from singlecopy.errors import ModelError, SymbolSingularError
 from singlecopy.model import (
     ModelSpec,
+    _laurent,
     build_model,
+    circle_zeros,
     classify_criticality,
     dispersion,
     symbol_eval,
@@ -145,6 +148,38 @@ def test_tangential_zero_next_to_fermi_points_stays_marginal():
     prof = classify_criticality(model)
     assert prof.marginal_points == (0.0,)
     assert np.allclose(prof.fermi_points, [0.01, 2 * math.pi - 0.01], atol=1e-9)
+
+
+# the xx draws of the benchmark workloads
+XX_DRAWS = [round(1.5 + 1.5 * random.Random(i).random(), 4) for i in range(32)]
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(build_model("ising"), id="ising"),
+    pytest.param(build_model("xx", a=2), id="xx-2"),
+    pytest.param(build_model("xy", a=1, gamma=0.5), id="xy-1-0.5"),
+    pytest.param(build_model("custom", A=(0.5 + math.cos(1) * math.cos(1.001),
+                                          -(math.cos(1) + math.cos(1.001)) / 2, 0.25)),
+                 id="close-pair"),
+    pytest.param(build_model("custom", A=(1.4999500004166653, -0.9999750002083326, 0.25)),
+                 id="tangential-next-to-pair"),
+    *(pytest.param(build_model("xx", a=a), id=f"xx-draw-{i}") for i, a in enumerate(XX_DRAWS)),
+    # couplings over seven decades: the unpolished roots of z^w lam miss by
+    # 1113 and 259 eps scale
+    pytest.param(build_model("custom", A=(0.00047400898665613444, 0.12814960011344048,
+                                          3436.1362372006633, 0.0024953694593088786)),
+                 id="wide-range-1"),
+    pytest.param(build_model("custom", A=(1836.919330905528, 5.9389292982355135,
+                                          4599.139063442222, -0.0025911189105825324)),
+                 id="wide-range-2"),
+])
+def test_simple_zeros_are_polished_to_rounding(model):
+    # one Newton step on z^w lam leaves |lam| at each simple zero at the
+    # rounding of lam itself
+    simple = [k for k, m in circle_zeros(model) if m == 1]
+    assert simple
+    scale = np.abs(_laurent(model)).sum()
+    assert max(abs(dispersion(model, k)) for k in simple) <= 64 * np.finfo(float).eps * scale
 
 
 def test_jumps_closed_under_reflection():

@@ -6,11 +6,12 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.integrate
 from numpy.polynomial import chebyshev, polynomial
 
-from singlecopy import toeplitz
+from singlecopy import model as model_module, toeplitz
 from singlecopy.errors import CoefficientAccuracyError, ModelError
-from singlecopy.model import build_model, classify_criticality
+from singlecopy.model import build_model, classify_criticality, symbol_eval
 from singlecopy.toeplitz import (
     block_spectrum,
     build_T,
@@ -212,6 +213,47 @@ def test_ising_times_cosine_factors_is_exact(name):
     assert np.abs(tab.t - (exact / (2 * math.pi)).real).max() <= tol
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_near_coincident_fermi_points_next_to_a_gapped_root_tabulate():
+    # z^3 lam(z) has the roots e^{+-i}, e^{+-1.001i} and 0.5: the root off
+    # the circle sends the table to quadrature, whose four arcs include two
+    # of width 1e-3.  Each arc's share of the tolerance is the same, so the
+    # narrow arcs do not ask for less than the rounding of their sums.  The
+    # reference is scipy's adaptive quadrature split at the same zeros.
+    P = polynomial.polyfromroots([0.5, *np.exp([1j, -1j, 1.001j, -1.001j])]).real
+    model = _model_from_laurent(np.concatenate([P, [0.0]]))
+    zeros = classify_criticality(model).fermi_points
+    tab = coefficient_table(model, 16)
+    assert tab.method == "quadrature" and len(zeros) == 4
+    arcs = list(zip(zeros, zeros[1:] + (zeros[0] + 2 * math.pi,)))
+
+    def integrand(k, l):
+        return (symbol_eval(model, k) * np.exp(-1j * l * k)).real
+
+    for l in range(-15, 16):
+        ref = sum(scipy.integrate.quad(integrand, lo, hi, args=(l,), epsabs=1e-13,
+                                       epsrel=1e-13, limit=200)[0] for lo, hi in arcs)
+        assert tab.coeff(l) == pytest.approx(ref / (2 * math.pi), abs=1e-12)
+
+
+@pytest.mark.parametrize("model", [XX2, ISING, XY, CONST])
+def test_coefficient_table_runs_one_root_pass(model, monkeypatch):
+    # the classifier's profile carries the zeros and the step-phase
+    # certificate: a table given the profile finds no roots, and a table
+    # without it finds them once
+    prof = classify_criticality(model)
+    real, calls = model_module._root_clusters, []
+
+    def no_roots(p):
+        raise AssertionError("the coefficient table searched for roots")
+
+    monkeypatch.setattr(model_module, "_root_clusters", no_roots)
+    given = coefficient_table(model, 64, profile=prof)
+    monkeypatch.setattr(model_module, "_root_clusters", lambda p: calls.append(p) or real(p))
+    assert np.array_equal(coefficient_table(model, 64).t, given.t)
+    assert len(calls) == 1
+
+
 def test_a_root_just_inside_the_circle_gets_no_closed_form():
     # z lam(z) = z (z - r): the classifier counts the root r = 1 - 1e-9 as a
     # Fermi point at k = 0, but z (z - 1) misses the couplings by 1e-9, so
@@ -219,7 +261,7 @@ def test_a_root_just_inside_the_circle_gets_no_closed_form():
     model = build_model("custom", A=(-(1 - 1e-9), 0.5), B=(-0.25,))
     prof = classify_criticality(model)
     assert prof.fermi_points == (0.0,)
-    assert toeplitz._step_phase(model) is None
+    assert classify_criticality(model).step_phase is None
     with pytest.raises(CoefficientAccuracyError, match="t_0 quadrature exhausted its node budget"):
         coefficient_table(model, 8)
 

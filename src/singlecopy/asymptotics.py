@@ -9,7 +9,7 @@ behind the 1/6 scaling coefficient by adaptive quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class ScanSeries:
     model: ModelSpec
     grid: tuple[int, ...]
     rows: tuple[ScanRow, ...]
-    spectra: tuple[BlockSpectrum, ...] | None = field(default=None, compare=False)
 
 
 def _row_from_spectrum(spec: BlockSpectrum) -> ScanRow:
@@ -76,8 +75,7 @@ def _row_from_spectrum(spec: BlockSpectrum) -> ScanRow:
     )
 
 
-def scan(model: ModelSpec, grid, abs_tol: float = 1e-12,
-         keep_spectra: bool = False, progress=None) -> ScanSeries:
+def scan(model: ModelSpec, grid, progress=None) -> ScanSeries:
     """One spectrum per grid point, coefficients shared across the scan.
 
     Failures are recorded per row instead of aborting the scan.
@@ -87,22 +85,18 @@ def scan(model: ModelSpec, grid, abs_tol: float = 1e-12,
         raise ModelError("grid must be non-empty and strictly increasing")
     if grid[0] < 1 or grid[-1] > MAX_L:
         raise ModelError(f"grid must stay within [1, {MAX_L}]")
-    table = coefficient_table(model, grid[-1], abs_tol)
+    table = coefficient_table(model, grid[-1])
 
     def job(L: int):
         try:
-            spec = block_spectrum(build_T(model, L, abs_tol, table))
-            row = _row_from_spectrum(spec)
+            row = _row_from_spectrum(block_spectrum(build_T(model, L, table=table)))
         except ToolkitError as exc:
-            spec, row = None, ScanRow(L=L, error=str(exc))
+            row = ScanRow(L=L, error=str(exc))
         if progress is not None:
             progress(f"L={L} done" if row.error is None else f"L={L} failed: {row.error}")
-        return row, spec
+        return row
 
-    results = [job(L) for L in grid]
-    rows = tuple(r for r, _ in results)
-    spectra = tuple(s for _, s in results if s is not None) if keep_spectra else None
-    return ScanSeries(model=model, grid=grid, rows=rows, spectra=spectra)
+    return ScanSeries(model=model, grid=grid, rows=tuple(job(L) for L in grid))
 
 
 @dataclass(frozen=True)
@@ -202,12 +196,10 @@ class BoundChain:
     rhs: float   # -(1/2) ln |det T|  (may be +inf)
 
 
-def bound_chain(spectrum: BlockSpectrum) -> BoundChain:
-    """Evaluate the chain from log-domain aggregates of one spectrum."""
-    lhs = -spectrum.ln_alpha1
-    mid = spectrum.rms_term_bits * LN2
-    rhs = math.inf if spectrum.ln_absdet_T == -math.inf else -0.5 * spectrum.ln_absdet_T
-    return BoundChain(lhs + 0.0, mid + 0.0, rhs + 0.0)
+def bound_chain(row: ScanRow) -> BoundChain:
+    """Evaluate the chain from one scan row (NaN throughout for a failed row)."""
+    return BoundChain(row.e1_cont_bits * LN2 + 0.0, row.rms_term_bits * LN2 + 0.0,
+                      -0.5 * row.ln_absdet_T + 0.0)
 
 
 def fh_slope(series: ScanSeries) -> ScalingFit:
@@ -238,13 +230,12 @@ def _half_integrand(x: float) -> float:
     return math.log1p((x - 1.0) / 2.0) / ((1.0 - x) * (1.0 + x))
 
 
-def integral_check(abs_tol: float = 1e-12) -> IntegralCheck:
-    """(2/pi^2) * integral over [-1, 1] of ln((1+|x|)/2)/(1-x^2).
+def integral_check() -> IntegralCheck:
+    """(2/pi^2) * integral over [-1, 1] of ln((1+|x|)/2)/(1-x^2), to 1e-10.
 
     Evaluated as twice the half-interval integral (the integrand is even).
     """
-    if abs_tol < 1e-12:
-        raise ModelError("abs_tol must be >= 1e-12")
+    abs_tol = 1e-10
     from scipy.integrate import quad   # deferred: only `check --integral` needs it
     half, err = quad(_half_integrand, 0.0, 1.0, epsabs=abs_tol / 16.0,
                      epsrel=1e-13, limit=200)

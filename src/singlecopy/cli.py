@@ -91,8 +91,6 @@ def build_parser() -> _Parser:
 
     # each subcommand takes only the flags it reads
     for name, p in subs.choices.items():
-        if name in ("analyze", "scan", "fit"):
-            p.add_argument("--tol", type=float, default=1e-12)
         p.add_argument("--out", default=None, metavar="PATH")
         if name != "check":
             p.add_argument("--format", choices=("json", "csv") if name == "scan" else ("json",),
@@ -145,7 +143,7 @@ def _cmd_analyze(args):
     if not 1 <= args.ep_dims <= MAX_EP_DIMS:
         raise UsageError(f"--ep-dims must be in [1, {MAX_EP_DIMS}]")
     rep = report(model, args.L, with_Ep=args.with_ep, with_sectors=args.with_sectors,
-                 Ep_dims=args.ep_dims, abs_tol=args.tol)
+                 Ep_dims=args.ep_dims)
     emit(rep, args.format, args.out)
     return EXIT_OK
 
@@ -153,8 +151,7 @@ def _cmd_analyze(args):
 def _cmd_scan(args):
     model = _model_from_args(args)
     grid = _grid_from_args(args)
-    series = scan(model, grid, abs_tol=args.tol,
-                  progress=lambda msg: print(msg, file=sys.stderr))
+    series = scan(model, grid, progress=lambda msg: print(msg, file=sys.stderr))
     emit(series, args.format, args.out)
     return EXIT_OK
 
@@ -164,8 +161,7 @@ def _cmd_fit(args):
     grid = _grid_from_args(args)
     if args.two_term and args.quantity == "neg_ln_absdet_T":
         raise UsageError("--two-term is not defined for --quantity neg_ln_absdet_T")
-    series = scan(model, grid, abs_tol=args.tol,
-                  progress=lambda msg: print(msg, file=sys.stderr))
+    series = scan(model, grid, progress=lambda msg: print(msg, file=sys.stderr))
     if args.quantity == "neg_ln_absdet_T":
         fit = fh_slope(series)
     else:
@@ -185,7 +181,7 @@ def _cmd_oracle(args):
 
 def check_integral():
     """The scaling integral against its closed form -1/6."""
-    ic = integral_check(1e-10)
+    ic = integral_check()
     ok = abs(ic.value_natural_log + 1.0 / 6.0) <= 1e-9
     return ok, (f"value={ic.value_natural_log:.12f} target=-1/6"
                 f" (diff {abs(ic.value_natural_log + 1.0 / 6.0):.2e})")

@@ -66,7 +66,10 @@ def single_copy_E1(alpha1: float | None = None, *, ln_alpha1: float | None = Non
     """E1 = log2 floor(1/alpha1), computed stably from alpha1 or ln(alpha1).
 
     Beyond ``FLOOR_BITS_LIMIT`` bits the floor correction is unrepresentable;
-    the continuous value is returned and ``M_max`` is None.
+    the continuous value is returned and ``M_max`` is None.  When ``1/alpha1``
+    lies within rounding below an integer, ``M_max`` is that integer and
+    ``e1_cont_bits`` is raised to ``log2 M_max`` if it fell an ulp short, so
+    ``E1_bits <= e1_cont_bits`` always holds.
     """
     if (alpha1 is None) == (ln_alpha1 is None):
         raise InvalidSpectrumError("pass exactly one of alpha1 / ln_alpha1")
@@ -84,6 +87,7 @@ def single_copy_E1(alpha1: float | None = None, *, ln_alpha1: float | None = Non
     m = math.floor(inv)
     if (m + 1) - inv <= 8.0 * math.ulp(inv):
         m += 1  # inv sits within rounding of the next integer
+        e1_cont = max(e1_cont, math.log2(m))
     return SingleCopyE1(math.log2(m), e1_cont, m)
 
 
@@ -310,8 +314,7 @@ def report_from_spectrum(model: ModelSpec, spec: BlockSpectrum, *,
 
 
 def report(model: ModelSpec, L: int, *, with_Ep: bool = False,
-           with_sectors: bool = False, Ep_dims: int = 256,
-           abs_tol: float = 1e-12) -> EntanglementReport:
+           with_sectors: bool = False, Ep_dims: int = 256) -> EntanglementReport:
     """Full pipeline model -> T_L -> mu -> entanglement report.
 
     Sectors are computed only for isotropic models (the reduction must be
@@ -319,6 +322,6 @@ def report(model: ModelSpec, L: int, *, with_Ep: bool = False,
     """
     if not 1 <= L <= MAX_L:
         raise ModelError(f"block length L must be in [1, {MAX_L}]")
-    spec = block_spectrum(build_T(model, L, abs_tol))
+    spec = block_spectrum(build_T(model, L))
     return report_from_spectrum(model, spec, with_Ep=with_Ep,
                                 with_sectors=with_sectors, Ep_dims=Ep_dims)

@@ -11,9 +11,9 @@ dispersion make ``g`` jump; the chain is classified as critical exactly
 when such jumps exist (Fermi points).  Tangential zeros (even
 multiplicity), where the one-sided limits of ``g`` coincide, are reported
 as marginal instead.  This module is the one symbol analysis: one root pass
-over ``z^w lam(z)`` finds the zeros, polishes each with one Newton step and
-certifies from them whether ``g`` is a step times a phase, the form the
-coefficient layer tabulates in closed form.
+over ``z^w lam(z)`` finds the zeros and polishes each with one Newton step,
+and the mirror symmetry of the couplings certifies whether ``g`` is a step
+times a phase, the form the coefficient layer tabulates in closed form.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial
 
 from .errors import ModelError, SymbolSingularError
 
@@ -35,7 +34,7 @@ SINGULAR_FLOOR = 1e-300
 _ZERO_REL = 1e-8       # polished |lam| below this (times scale) counts as a zero
 _CIRCLE_TOL = 1e-6     # max distance of a zero's root cluster from |z| = 1
 _EPS = np.finfo(float).eps
-_REBUILD_ULPS = 16     # step phase: rebuilt z^w lam off by at most this many eps
+_MIRROR_ULPS = 16      # step phase: mirrored couplings off by at most this many eps
 
 
 @dataclass(frozen=True)
@@ -264,35 +263,25 @@ def circle_zeros(model: ModelSpec) -> list[tuple[float, int]]:
     return zeros
 
 
-def _step_phase(model: ModelSpec, zeros):
+def _step_phase(model: ModelSpec):
     """``nu`` of a symbol ``g(k) = h_i e^{i nu k}`` with ``h_i`` constant
-    between zeros, or None when ``g`` is not certified of that form.
+    between zeros, or None when ``g`` is not of that form.
 
-    Isotropic symbols are ``sign(lam)``: ``nu = 0``.  Otherwise ``z^w lam``
-    must be ``c z^m prod_j (z - z_j)^{m_j}`` over the zeros ``z_j = e^{ik_j}``
-    of :func:`circle_zeros`, n in all with multiplicity; each factor is
-    ``2i e^{i(k + k_j)/2} sin((k - k_j)/2)``, so ``nu = m - w + n/2``.  The
-    rebuilt coefficients must match to rounding: a zero with cofactor ``R_j``
-    is located to ``eps scale / |R_j(z_j)|``, and moving it that far moves
-    them by ``m_j 2^(m_j-1) |R_j|_1`` times as much.
+    For real couplings that holds exactly when the coefficients of
+    :func:`_laurent`, trimmed to ``c_m .. c_d``, are symmetric or
+    antisymmetric about their centre ``nu = (m + d)/2 - w`` to 16 eps of the
+    coefficient scale: the pairs ``c_j, c_{2 nu - j} = +-c_j`` make
+    ``lam e^{-i nu k}`` real or imaginary.  Isotropic tables are symmetric
+    with ``nu = 0``; in roots, every root of ``z^w lam`` off ``|z| = 1`` and
+    0 comes with its mirror ``1/conj(z)``.
     """
-    if model.isotropic:
-        return 0.0
     c = _laurent(model)
     m, d = np.flatnonzero(c)[[0, -1]]
-    zeros = [(np.exp(1j * k), mult) for k, mult in zeros]
-    if sum(mult for _, mult in zeros) != d - m:
+    q = c[m:d + 1]
+    mirror = np.sign(q[0]) * np.sign(q[-1]) * q[::-1]
+    if np.abs(q - mirror).max() > _MIRROR_ULPS * _EPS * np.abs(c).sum():
         return None
-
-    def rebuilt(skip=None):
-        return c[d] * polynomial.polyfromroots(
-            [z for j, (z, mult) in enumerate(zeros) if j != skip for _ in range(mult)])
-
-    spread = 1.0 + sum(mult * 2 ** (mult - 1) * np.abs(rebuilt(j)).sum()
-                       / abs(polynomial.polyval(z, rebuilt(j))) for j, (z, mult) in enumerate(zeros))
-    if np.abs(rebuilt() - c[m:d + 1]).max() > _REBUILD_ULPS * _EPS * np.abs(c).sum() * spread:
-        return None
-    return m - model.w + (d - m) / 2
+    return float((m + d) / 2 - model.w)
 
 
 def classify_criticality(model: ModelSpec) -> SymbolProfile:
@@ -301,10 +290,11 @@ def classify_criticality(model: ModelSpec) -> SymbolProfile:
     The zeros are those of :func:`circle_zeros`.  A zero of odd multiplicity
     flips the sign of the symbol (a Fermi point, ``beta = 1/2``); a zero of
     even multiplicity is tangential and reported as marginal.  The model is
-    critical exactly when it has Fermi points.  The same zeros certify the
-    symbol a step times a phase (:func:`_step_phase`).
+    critical exactly when it has Fermi points.  Independently of the zeros,
+    the couplings certify the symbol a step times a phase
+    (:func:`_step_phase`).
     """
     zeros = circle_zeros(model)
     return SymbolProfile(tuple(sorted(k for k, m in zeros if m % 2)),
                          tuple(sorted(k for k, m in zeros if not m % 2)),
-                         _step_phase(model, zeros))
+                         _step_phase(model))

@@ -4,9 +4,7 @@ The JSON object of a result lists its dataclass fields in declaration
 order, followed by ``"version"``. Nested dataclasses become objects, and
 tuples and arrays become lists. A field that holds its declared default
 (``None``, NaN or ``0``) is omitted, and ``from_dict`` restores it from the
-same default; a field declared with ``compare=False`` is an in-memory
-attachment, not part of the result, and is never written. So reordering or
-renaming a field changes the schema.
+same default. So reordering or renaming a field changes the schema.
 
 Floats are rendered with 17 significant digits so JSON round trips are
 bit-exact; infinities become the strings "inf"/"-inf", which ``float``
@@ -92,7 +90,7 @@ def _encode(obj):
         out = {}
         for f in fields(obj):
             value = getattr(obj, f.name)
-            if f.compare and not _holds_default(value, f.default):
+            if not _holds_default(value, f.default):
                 out[f.name] = _encode(value)
         return out
     if isinstance(obj, (tuple, list, np.ndarray)):

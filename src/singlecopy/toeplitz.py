@@ -2,12 +2,13 @@
 
 The coefficients ``t_l = (1/2pi) int_0^{2pi} g(k) exp(-i l k) dk`` fill the
 L x L block ``T[i, j] = t_{j-i}``.  They are exact sums over the arcs
-between zeros when the symbol is a step times a phase ``e^{i nu k}``: every
-isotropic symbol, and every symbol whose ``z^w lam(z)`` has all its roots on
-``|z| = 1`` or at 0, such as critical ising; any other symbol takes adaptive
-quadrature, whose tolerance the closed form does not read.  Both read the
-zeros and the step-phase certificate from the symbol profile of
-:func:`~singlecopy.model.classify_criticality` and find no roots themselves.
+between zeros when the symbol is a step times a phase ``e^{i nu k}``, which
+holds exactly when the couplings' Laurent coefficients are mirror-symmetric
+up to sign: every isotropic symbol, and critical ising; any other symbol
+takes adaptive quadrature, whose tolerance the closed form does not read.
+Both read the zeros and the step-phase certificate from the symbol profile
+of :func:`~singlecopy.model.classify_criticality` and find no roots
+themselves.
 The block's singular values ``mu_1 >= ... >= mu_L`` drive every entanglement
 quantity, so they are aggregated here once, in the log domain.  An isotropic
 block is symmetric and centrosymmetric, and its singular values are the
@@ -183,11 +184,11 @@ def _quadrature_range(model, ls, abs_tol, cuts):
 def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
                       profile: SymbolProfile | None = None) -> ToeplitzCoeffs:
     """Tabulate ``t_l`` for ``|l| < L``: the exact closed form for a symbol
-    certified a step times a phase (every isotropic symbol, and every symbol
-    whose ``z^w lam(z)`` has all its roots on the unit circle or at 0: the
-    profile's ``step_phase``), which ignores ``abs_tol``; otherwise adaptive
-    quadrature to ``abs_tol``, split at the symbol's zeros, which computes
-    each panel set's weighted symbol once for all the coefficients that use it.
+    certified a step times a phase (couplings mirror-symmetric up to sign,
+    every isotropic symbol among them: the profile's ``step_phase``), which
+    ignores ``abs_tol``; otherwise adaptive quadrature to ``abs_tol``, split
+    at the symbol's zeros, which computes each panel set's weighted symbol
+    once for all the coefficients that use it.
 
     The quadrature table runs on every CPU in the process's affinity set, one
     thread per contiguous range of ``l``, and has no setting: each ``t_l``

@@ -43,19 +43,19 @@ def _report(criterion, ok, detail):
 @pytest.fixture(scope="module")
 def xx_scan():
     t0 = time.time()
-    series = scan(XX2, geometric_grid(128, 2048), keep_spectra=True)
+    series = scan(XX2, geometric_grid(128, 2048))
     _timings["xx"] = time.time() - t0
     return series
 
 
 @pytest.fixture(scope="module")
 def xy_scan():
-    return scan(XY, geometric_grid(64, 2048), keep_spectra=True)
+    return scan(XY, geometric_grid(64, 2048))
 
 
 @pytest.fixture(scope="module")
 def ising_scan():
-    return scan(ISING, geometric_grid(128, 2048), keep_spectra=True)
+    return scan(ISING, geometric_grid(128, 2048))
 
 
 def test_criterion_1_xx_single_copy_slope(xx_scan):
@@ -110,11 +110,12 @@ def test_criterion_7_integral_identity():
 
 
 def test_criterion_8_bound_chain_over_all_spectra(xx_scan, xy_scan, ising_scan):
+    # a failed row is NaN throughout and counts as a violation
     violations = 0
     count = 0
     for series in (xx_scan, xy_scan, ising_scan):
-        for spec in series.spectra:
-            bc = bound_chain(spec)
+        for row in series.rows:
+            bc = bound_chain(row)
             count += 1
             if not (bc.lhs >= bc.mid - 1e-10):
                 violations += 1

@@ -120,7 +120,8 @@ def test_usage_errors_exit_1(capsys):
     ["check", "--integral", "--format", "csv"],
     ["check", "--integral", "--tol", "5"],
     ["oracle", "--model", "xx", "--a", "2", "--n", "10", "--L", "5", "--tol", "1e-2"],
-], ids=["check-format", "check-tol", "oracle-tol"])
+    ["analyze", "--model", "ising", "--L", "16", "--tol", "1e-12"],
+], ids=["check-format", "check-tol", "oracle-tol", "analyze-tol"])
 def test_flags_a_subcommand_ignores_are_usage_errors(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1
@@ -184,10 +185,6 @@ def test_numerical_failure_exit_2(capsys):
     # block lengths stop at 4096, before any coefficient is computed
     code, out, err = run_cli(["analyze", "--model", "xx", "--a", "2", "--L", "4097"], capsys)
     assert code == 2 and out == "" and "4096" in err
-    # an infinite tolerance would accept any coefficient, and NaN compares false with any error
-    for tol in ("inf", "nan"):
-        code, out, err = run_cli(["analyze", "--model", "ising", "--L", "16", "--tol", tol], capsys)
-        assert code == 2 and out == "" and "abs_tol" in err
 
 
 def test_usage_error_writes_no_partial_file(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from singlecopy.errors import InvalidSpectrumError, ModelError
 from singlecopy.model import build_model
@@ -64,6 +64,8 @@ def test_single_copy_rejects_bad_alpha():
 
 @settings(max_examples=200, deadline=None)
 @given(sorted_spectra())
+# 1/alpha1 = 3.999999999999999 snaps M_max up to 4 while -log2 alpha1 rounds below 2
+@example(np.array([0.25000000000000006, 0.25, 0.25, 0.25]))
 def test_floor_sandwich(vals):
     res = single_copy_E1(float(vals[0]))
     assert 0.0 <= res.E1_bits <= res.e1_cont_bits < res.E1_bits + 1.0

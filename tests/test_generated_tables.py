@@ -3,8 +3,9 @@
 ``z^w lam(z)`` is a real polynomial of degree <= 2w for every table, and
 every such polynomial is the dispersion of some table, so tables are built
 from root factors: Fermi pairs, near-coincident pairs, zeros at 0 and pi,
-tangential (double) zeros, triple zeros and roots off the unit circle
-(gapped factors).  Isotropic tables are polynomials in ``x = cos k``
+tangential (double) zeros, triple zeros, roots off the unit circle
+(gapped factors) and roots off the circle paired with their mirror
+``1/conj(z)``.  Isotropic tables are polynomials in ``x = cos k``
 instead.  The same tables drive the classifier, the closed form,
 the isotropic block spectrum, and the finite Gaussian chain against exact
 diagonalization.
@@ -63,6 +64,14 @@ z_circle = st.one_of(
     st.just(([-1.0] * 3, [math.pi], [])),
 )
 z_factors = st.one_of(z_circle, z_gapped)
+# A root off the circle with its mirror 1/conj(z): real r, 1/r, or complex
+# z, conj(z), 1/conj(z), 1/z.
+z_reciprocal = st.one_of(
+    st.one_of(st.floats(0.2, 0.8), st.floats(-0.8, -0.2)).map(lambda r: ([r, 1 / r], [], [])),
+    st.tuples(st.floats(0.2, 0.8), angles).map(
+        lambda p: ([p[0] * z for z in _unit_pair(p[1])] + [z / p[0] for z in _unit_pair(p[1])],
+                   [], [])),
+)
 
 # Factors of P(x), lam(k) = P(cos k), with zeros of multiplicity <= 2 in k.
 x_gapped = st.one_of(
@@ -142,8 +151,8 @@ def _resolvable(model, jumps, tangents):
     return _grid_sign_changes(model, 1e-13) == _grid_sign_changes(model) == len(jumps)
 
 
-def _combine(draw, factors, max_degree, first=None):
-    roots, jumps, tangents = ([], [], []) if first is None else draw(first)
+def _combine(draw, factors, max_degree, start=((), (), ())):
+    roots, jumps, tangents = map(list, start)
     for _ in range(draw(st.integers(0, 3))):
         r, j, t = draw(factors)
         if len(roots) + len(r) <= max_degree:
@@ -155,8 +164,9 @@ def _combine(draw, factors, max_degree, first=None):
 
 @st.composite
 def anisotropic_tables(draw, factors=z_factors, first=None):
-    w = draw(st.integers(1, 3))
-    p, jumps, tangents = _combine(draw, factors, 2 * w, first)
+    start = ((), (), ()) if first is None else draw(first)
+    w = draw(st.integers(max(1, (len(start[0]) + 1) // 2), 3))
+    p, jumps, tangents = _combine(draw, factors, 2 * w, start)
     shift = draw(st.integers(0, 2 * w + 1 - p.size))     # times z^shift: a root at 0
     c = np.zeros(2 * w + 1)
     c[shift:shift + p.size] = p
@@ -224,20 +234,14 @@ def test_closed_form_matches_quadrature(table):
         assert tm == pytest.approx(tab.coeff(-l), abs=1e-10)
 
 
-# A table whose roots all lie on the unit circle or at 0 has a step times a
-# phase for symbol, so its table takes the exact closed form.  Quadrature is
-# the reference where it resolves the symbol, next to simple zeros only: the
-# complex symbol's rounding noise around a multiple zero makes it miss 1e-11
-# or refuse.  Multiple zeros are checked against exact values in
-# tests/test_toeplitz.py.  Next to zeros 1e-3 to 1e-2 apart ``|lam|`` stays
-# small over whole arcs, and its rounding makes the reference's successive
-# panel sums differ by 1e-12 or more, above the reference's tolerance on any
-# share of the arcs; such a refused reference coefficient is skipped.
-@settings(max_examples=60, deadline=None)
-@given(anisotropic_tables(z_circle))
-def test_unit_circle_tables_take_the_closed_form(table):
-    model, jumps, tangents = table
-    assume(_resolvable(model, jumps, tangents))
+def _mirror_gap(model):
+    """Largest ``|c_j -+ c_{2nu-j}|`` of the trimmed Laurent coefficients,
+    relative to ``sum |c_j|``: 0 for a symbol that is a step times a phase."""
+    q = np.trim_zeros(_laurent(model))
+    return np.abs(q - np.sign(q[0] * q[-1]) * q[::-1]).max() / np.abs(q).sum()
+
+
+def _assert_closed_form_matches_quadrature(model):
     prof = classify_criticality(model)
     tab = coefficient_table(model, 257, profile=prof)
     assert tab.method == "closed_form"
@@ -253,13 +257,55 @@ def test_unit_circle_tables_take_the_closed_form(table):
         assert tm == pytest.approx(tab.coeff(-l), abs=1e-11)
 
 
-# One root off the unit circle makes the symbol smooth across its angle: the
-# table is not certified a step times a phase and stays on quadrature.
+# A table whose roots all lie on the unit circle or at 0 has a step times a
+# phase for symbol, so its table takes the exact closed form.  Quadrature is
+# the reference where it resolves the symbol, next to simple zeros only: the
+# complex symbol's rounding noise around a multiple zero makes it miss 1e-11
+# or refuse.  Multiple zeros are checked against exact values in
+# tests/test_toeplitz.py.  Next to zeros 1e-3 to 1e-2 apart ``|lam|`` stays
+# small over whole arcs, and its rounding makes the reference's successive
+# panel sums differ by 1e-12 or more, above the reference's tolerance on any
+# share of the arcs; such a refused reference coefficient is skipped.
+@settings(max_examples=60, deadline=None)
+@given(anisotropic_tables(z_circle))
+def test_unit_circle_tables_take_the_closed_form(table):
+    assume(_resolvable(*table))
+    _assert_closed_form_matches_quadrature(table[0])
+
+
+# A root off the circle together with its mirror 1/conj(z) leaves the
+# couplings mirror-symmetric up to sign, and the symbol a step times a
+# phase: such a table takes the closed form too, with the same reference.
+@settings(max_examples=40, deadline=None)
+@given(anisotropic_tables(z_circle, first=z_reciprocal))
+def test_reciprocal_root_pair_tables_take_the_closed_form(table):
+    assume(_resolvable(*table))
+    _assert_closed_form_matches_quadrature(table[0])
+
+
+def test_reciprocal_root_pair_with_one_fermi_point():
+    # z^2 lam = z (z + 1)(z^2 + 3z + 1), whose roots (-3 +- sqrt 5)/2 are a
+    # real reciprocal pair: lam = e^{ik/2} 2 cos(k/2) (3 + 2 cos k), so
+    # g = e^{ik/2} on (-pi, pi) and t_l = 2 (-1)^l / (pi (1 - 2l))
+    model = _model_from_laurent([0.0, 1.0, 4.0, 4.0, 1.0])
+    prof = classify_criticality(model)
+    assert prof.step_phase == 0.5 and prof.marginal_points == ()
+    assert prof.fermi_points == pytest.approx((math.pi,), abs=1e-15)
+    l = np.arange(-63, 64)
+    exact = 2 * (-1.0) ** l / (np.pi * (1 - 2 * l))
+    assert np.abs(coefficient_table(model, 64).t - exact).max() <= 1e-15
+    _assert_closed_form_matches_quadrature(model)
+
+
+# One root off the unit circle without its mirror makes the symbol smooth
+# across its angle and its phase turn there: the table is not certified a
+# step times a phase and stays on quadrature.  A draw that pairs a root with
+# its mirror (such as 0.8 and 1.25) is certified, and skipped here.
 @settings(max_examples=60, deadline=None)
 @given(anisotropic_tables(z_factors, first=z_gapped))
 def test_tables_with_a_root_off_the_circle_stay_on_quadrature(table):
     model = table[0]
-    assume(not model.isotropic)
+    assume(_mirror_gap(model) > 1e-8)
     assert classify_criticality(model).step_phase is None
 
 

@@ -9,6 +9,7 @@ from singlecopy.errors import ModelError, SymbolSingularError
 from singlecopy.model import (
     ModelSpec,
     _laurent,
+    _step_phase,
     build_model,
     circle_zeros,
     classify_criticality,
@@ -152,6 +153,20 @@ def test_tangential_zero_next_to_fermi_points_stays_marginal():
 
 # the xx draws of the benchmark workloads
 XX_DRAWS = [round(1.5 + 1.5 * random.Random(i).random(), 4) for i in range(32)]
+
+
+# The certificate reads the couplings only: c_{2nu-j} = +-c_j about the
+# centre nu of their support, trimmed of zeros.  lam = e^{-ik} is a pure
+# phase, and the xy couplings a(1 -+ gamma)/2 are not mirrored.
+@pytest.mark.parametrize("kind, kwargs, nu", [
+    ("ising", {}, 0.5),
+    ("xx", {"a": 2.0}, 0.0),
+    ("custom", {"A": (0.0, 0.0, 1.0)}, 0.0),
+    ("custom", {"A": (0.0, 0.5), "B": (0.25,)}, -1.0),
+    ("xy", {"a": 2.0, "gamma": 0.5}, None),
+], ids=["ising", "xx", "z2", "pure-phase", "xy"])
+def test_step_phase_is_the_mirror_symmetry_of_the_couplings(kind, kwargs, nu):
+    assert _step_phase(build_model(kind, **kwargs)) == nu
 
 
 @pytest.mark.parametrize("model", [

@@ -193,8 +193,8 @@ def test_ising_takes_its_exact_coefficients():
 ISING_TIMES = {
     "tangential": ([1, 1], [], 1e-14),
     "triple": ([1, 1, 1], [(1, 2 * math.pi - 1)], 1e-14),
-    # the rounded couplings move these zeros by up to 2.5e-12; without the
-    # zeros' conditioning the rebuilt polynomial would miss by 528 eps
+    # the rounded couplings move these zeros by up to 2.5e-12, but stay
+    # antisymmetric about their centre to rounding
     "close-pair": ([0.5, 0.5005], [(0.5, 0.5005), (2 * math.pi - 0.5005, 2 * math.pi - 0.5)], 1e-11),
 }
 
@@ -256,8 +256,9 @@ def test_coefficient_table_runs_one_root_pass(model, monkeypatch):
 
 def test_a_root_just_inside_the_circle_gets_no_closed_form():
     # z lam(z) = z (z - r): the classifier counts the root r = 1 - 1e-9 as a
-    # Fermi point at k = 0, but z (z - 1) misses the couplings by 1e-9, so
-    # the table is not certified a step times a phase and goes to quadrature
+    # Fermi point at k = 0, but the couplings (-r, 1) miss antisymmetry by
+    # 1e-9, so the table is not certified a step times a phase and goes to
+    # quadrature
     model = build_model("custom", A=(-(1 - 1e-9), 0.5), B=(-0.25,))
     prof = classify_criticality(model)
     assert prof.fermi_points == (0.0,)

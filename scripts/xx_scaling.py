@@ -8,14 +8,17 @@ jump exponents) next to the fitted ones.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from singlecopy.model import build_model
-from singlecopy.asymptotics import fh_slope, fit_log, geometric_grid, scan
+from singlecopy.asymptotics import fit_log, geometric_grid, scan
 from singlecopy.serialize import dumps, scan_to_csv, to_dict
+
+LN2 = math.log(2)
 
 
 def main():
@@ -41,14 +44,16 @@ def main():
     window = (args.fit_min, args.L_max)
     e1 = fit_log(series, "e1_cont_bits", window=window)
     s = fit_log(series, "entropy_bits", window=window)
-    det = fh_slope(series)
+    det = fit_log(series, "ln_absdet_T")
 
     print()
     print(f"e1_cont slope : {e1.slope:.5f}   (1/6 = {1/6:.5f})")
     print(f"entropy slope : {s.slope:.5f}   (1/3 = {1/3:.5f})")
     print(f"e1/S @ L={args.L_max}: "
           f"{series.rows[-1].e1_cont_bits / series.rows[-1].entropy_bits:.5f}   (-> 1/2)")
-    print(f"-ln|detT| vs ln L : {det.slope:.5f}   (sum beta^2 = {det.predicted_slope:.5f})")
+    # ln|det T_L| per log2 L, rescaled to -ln|det T_L| per ln L
+    print(f"-ln|detT| vs ln L : {-det.slope / LN2:.5f}   "
+          f"(sum beta^2 = {-det.predicted_slope / LN2:.5f})")
 
     if args.csv is not None:
         args.csv.write_text(scan_to_csv(series))

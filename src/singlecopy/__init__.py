@@ -53,7 +53,6 @@ from .asymptotics import (
     ScanRow,
     ScanSeries,
     bound_chain,
-    fh_slope,
     fit_log,
     geometric_grid,
     integral_check,

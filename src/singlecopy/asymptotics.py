@@ -9,7 +9,7 @@ behind the 1/6 scaling coefficient by adaptive quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -108,7 +108,13 @@ class TwoTermFit:
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Least-squares fit of one scan quantity against log2(L)."""
+    """Least-squares fit of one scan quantity against log2(L).
+
+    ``predicted_slope`` is set for ``ln_absdet_T`` only: the Fisher-Hartwig
+    slope ``-ln 2 * sum_j beta_j^2`` per unit of log2(L).  ``n_excluded``
+    counts the rows in the window that failed or were not finite (a -inf
+    determinant, say).
+    """
 
     quantity: str
     slope: float
@@ -138,7 +144,12 @@ def _series_points(series: ScanSeries, quantity: str, window):
 
 
 def fit_log(series: ScanSeries, quantity: str, window=None, two_term: bool = False) -> ScalingFit:
-    """Ordinary least squares of ``quantity`` against log2(L)."""
+    """Ordinary least squares of ``quantity`` against log2(L).
+
+    For ``ln_absdet_T`` the fit carries the jump-exponent prediction of the
+    symbol profile, ``predicted_slope = -ln 2 * sum_j beta_j^2``, in the same
+    units as ``slope``.
+    """
     pts, skipped = _series_points(series, quantity, window)
     if len(pts) < 3:
         raise ModelError("need at least 3 usable grid points to fit")
@@ -158,6 +169,9 @@ def fit_log(series: ScanSeries, quantity: str, window=None, two_term: bool = Fal
         design3 = np.vstack([x, np.log2(x), np.ones_like(x)]).T
         c3, *_ = np.linalg.lstsq(design3, y, rcond=None)
         two = TwoTermFit(float(c3[0]), float(c3[1]), float(c3[2]))
+    predicted = None
+    if quantity == "ln_absdet_T":
+        predicted = -LN2 * classify_criticality(series.model).beta_sq_sum() + 0.0
     return ScalingFit(
         quantity=quantity,
         slope=float(coef[0]),
@@ -165,6 +179,7 @@ def fit_log(series: ScanSeries, quantity: str, window=None, two_term: bool = Fal
         rms_residual=rms,
         grid_range=(int(Ls[0]), int(Ls[-1])),
         two_term=two,
+        predicted_slope=predicted,
         n_excluded=skipped,
     )
 
@@ -200,20 +215,6 @@ def bound_chain(row: ScanRow) -> BoundChain:
     """Evaluate the chain from one scan row (NaN throughout for a failed row)."""
     return BoundChain(row.e1_cont_bits * LN2 + 0.0, row.rms_term_bits * LN2 + 0.0,
                       -0.5 * row.ln_absdet_T + 0.0)
-
-
-def fh_slope(series: ScanSeries) -> ScalingFit:
-    """Fit of ``-ln|det T_L|`` against ``ln L`` for a scanned critical model.
-
-    The ``ln_absdet_T`` fit against log2(L), rescaled to ``ln L`` and
-    negated.  Attaches the jump-exponent prediction ``sum_j beta_j^2`` from
-    the symbol profile as ``predicted_slope``; -inf determinants are
-    excluded and counted in ``n_excluded``.
-    """
-    fit = fit_log(series, "ln_absdet_T")
-    return replace(fit, quantity="neg_ln_absdet_T", slope=-fit.slope / LN2,
-                   intercept=-fit.intercept,
-                   predicted_slope=classify_criticality(series.model).beta_sq_sum())
 
 
 @dataclass(frozen=True)

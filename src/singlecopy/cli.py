@@ -9,12 +9,13 @@ failure, 3 failed check.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .asymptotics import SCAN_FIELDS, fh_slope, fit_log, geometric_grid, integral_check, scan
+from .asymptotics import SCAN_FIELDS, fit_log, geometric_grid, integral_check, scan
 from .entangle import MAX_EP_DIMS, nielsen_transformable, probabilistic_Ep, report, single_copy_E1
 from .errors import ToolkitError
 from .model import build_model
@@ -42,7 +43,7 @@ def _csv_floats(text):
 
 
 def _add_model_flags(p):
-    p.add_argument("--model", choices=("xx", "xy", "ising", "custom"), default=None)
+    p.add_argument("--model", choices=("xx", "xy", "ising", "custom"), required=True)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--A", type=_csv_floats, default=None, metavar="v1,v2,...")
@@ -62,7 +63,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("analyze", help="entanglement report for one block length")
     _add_model_flags(p)
-    p.add_argument("--L", type=int, required=False)
+    p.add_argument("--L", type=int, required=True)
     p.add_argument("--with-ep", action="store_true")
     p.add_argument("--with-sectors", action="store_true")
     p.add_argument("--ep-dims", type=int, default=256)
@@ -74,14 +75,13 @@ def build_parser() -> _Parser:
     p = subs.add_parser("fit", help="scan, then fit a quantity against log2(L)")
     _add_model_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--quantity", default="e1_cont_bits",
-                   choices=SCAN_FIELDS + ("neg_ln_absdet_T",))
+    p.add_argument("--quantity", default="e1_cont_bits", choices=SCAN_FIELDS)
     p.add_argument("--two-term", action="store_true")
 
     p = subs.add_parser("oracle", help="cross-validate Gaussian vs exact methods")
     _add_model_flags(p)
-    p.add_argument("--n", type=int, required=False)
-    p.add_argument("--L", type=int, required=False)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--L", type=int, required=True)
     p.add_argument("--pair", choices=("gaussian-vs-ed", "gaussian-vs-thermodynamic"),
                    default="gaussian-vs-ed")
 
@@ -99,19 +99,9 @@ def build_parser() -> _Parser:
 
 
 def _model_from_args(args):
-    kind = args.model
-    if kind is None:
-        raise UsageError("--model is required")
-    if kind == "custom":
-        if args.A is None:
-            raise UsageError("custom model needs --A")
-        return build_model("custom", A=args.A, B=args.B)
-    kwargs = {}
-    if args.a is not None:
-        kwargs["a"] = args.a
-    if args.gamma is not None:
-        kwargs["gamma"] = args.gamma
-    return build_model(kind, **kwargs)
+    if args.model == "custom" and args.A is None:
+        raise UsageError("custom model needs --A")
+    return build_model(args.model, a=args.a, gamma=args.gamma, A=args.A, B=args.B)
 
 
 def _grid_from_args(args):
@@ -138,7 +128,7 @@ def emit(result, fmt: str, out_path) -> None:
 
 def _cmd_analyze(args):
     model = _model_from_args(args)
-    if args.L is None or args.L < 1:
+    if args.L < 1:
         raise UsageError("analyze needs --L >= 1")
     if not 1 <= args.ep_dims <= MAX_EP_DIMS:
         raise UsageError(f"--ep-dims must be in [1, {MAX_EP_DIMS}]")
@@ -159,21 +149,14 @@ def _cmd_scan(args):
 def _cmd_fit(args):
     model = _model_from_args(args)
     grid = _grid_from_args(args)
-    if args.two_term and args.quantity == "neg_ln_absdet_T":
-        raise UsageError("--two-term is not defined for --quantity neg_ln_absdet_T")
     series = scan(model, grid, progress=lambda msg: print(msg, file=sys.stderr))
-    if args.quantity == "neg_ln_absdet_T":
-        fit = fh_slope(series)
-    else:
-        fit = fit_log(series, args.quantity, two_term=args.two_term)
+    fit = fit_log(series, args.quantity, two_term=args.two_term)
     emit(fit, args.format, args.out)
     return EXIT_OK
 
 
 def _cmd_oracle(args):
     model = _model_from_args(args)
-    if args.n is None or args.L is None:
-        raise UsageError("oracle needs --n and --L")
     cmp = compare_oracle(model, args.n, args.L, args.pair)
     emit(cmp, args.format, args.out)
     return EXIT_OK
@@ -213,14 +196,14 @@ def check_majorization():
             if not nielsen_transformable(vals, m):
                 break
             m_best = m
-        mismatches += m_best != single_copy_E1(float(vals[0])).M_max
+        mismatches += m_best != single_copy_E1(math.log(vals[0])).M_max
     ep_bad = 0
     for _ in range(1_000):
         vals = spectrum()
         ep = probabilistic_Ep(vals).Ep_bits
         shannon = float(-(vals * np.log2(vals, where=vals > 0,
                                          out=np.zeros_like(vals))).sum())
-        ep_bad += not (single_copy_E1(float(vals[0])).E1_bits - 1e-9 <= ep <= shannon + 1e-9)
+        ep_bad += not (single_copy_E1(math.log(vals[0])).E1_bits - 1e-9 <= ep <= shannon + 1e-9)
     return mismatches == 0 and ep_bad == 0, (
         f"nielsen-vs-floor mismatches: {mismatches}/10000;"
         f" Ep sandwich violations: {ep_bad}/1000")

@@ -62,8 +62,8 @@ class SingleCopyE1:
     M_max: int | None
 
 
-def single_copy_E1(alpha1: float | None = None, *, ln_alpha1: float | None = None) -> SingleCopyE1:
-    """E1 = log2 floor(1/alpha1), computed stably from alpha1 or ln(alpha1).
+def single_copy_E1(ln_alpha1: float) -> SingleCopyE1:
+    """E1 = log2 floor(1/alpha1), computed stably from ln(alpha1).
 
     Beyond ``FLOOR_BITS_LIMIT`` bits the floor correction is unrepresentable;
     the continuous value is returned and ``M_max`` is None.  When ``1/alpha1``
@@ -71,12 +71,6 @@ def single_copy_E1(alpha1: float | None = None, *, ln_alpha1: float | None = Non
     ``e1_cont_bits`` is raised to ``log2 M_max`` if it fell an ulp short, so
     ``E1_bits <= e1_cont_bits`` always holds.
     """
-    if (alpha1 is None) == (ln_alpha1 is None):
-        raise InvalidSpectrumError("pass exactly one of alpha1 / ln_alpha1")
-    if ln_alpha1 is None:
-        if not math.isfinite(alpha1) or alpha1 <= 0.0 or alpha1 > 1.0 + 1e-12:
-            raise InvalidSpectrumError(f"alpha1={alpha1!r} outside (0, 1]")
-        ln_alpha1 = math.log(min(float(alpha1), 1.0))
     if not ln_alpha1 <= 1e-12:
         raise InvalidSpectrumError(f"ln_alpha1={ln_alpha1!r} must be <= 0")
     ln_alpha1 = min(float(ln_alpha1), 0.0)

@@ -75,6 +75,9 @@ class ModelSpec:
             raise ModelError("couplings must be finite")
         if not np.any(entries != 0.0):
             raise ModelError("all couplings vanish")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.abs(_laurent(self)).sum()):
+                raise ModelError("the Laurent coefficients A_j -+ 2 B_j or their sum overflow")
 
     @property
     def isotropic(self) -> bool:
@@ -167,6 +170,18 @@ def _laurent(model: ModelSpec) -> np.ndarray:
     return np.concatenate([(A + 2.0 * B)[:0:-1], A - 2.0 * B])
 
 
+def _support(model: ModelSpec):
+    """:func:`_laurent` with the index range ``m..d`` of its support.
+
+    End coefficients at or below ``eps * sum |c_j|`` are dropped: they move
+    ``lam`` by less than its own rounding, and a subnormal leading one would
+    make the companion matrix of the roots infinite.
+    """
+    c = _laurent(model)
+    m, d = np.flatnonzero(np.abs(c) > _EPS * np.abs(c).sum())[[0, -1]]
+    return c, m, d
+
+
 def dispersion(model: ModelSpec, k):
     """Evaluate ``lam(k)``; accepts scalars or arrays, returns complex.
 
@@ -245,16 +260,16 @@ def _root_clusters(p: np.ndarray):
 def circle_zeros(model: ModelSpec) -> list[tuple[float, int]]:
     """Zeros of the dispersion on [0, 2pi) as ``(angle, multiplicity)``.
 
-    The zeros are the unit-circle roots of ``z^w lam(z)``, grouped into
-    multiple roots and Newton-polished once by :func:`_root_clusters`.  A
-    group whose centre lies within 1e-6 of ``|z| = 1`` gives a zero at the
-    centre's angle, kept when ``|lam|`` there falls below 1e-8 of the
-    coefficient scale.
+    The zeros are the unit-circle roots of ``z^w lam(z)`` on the support of
+    :func:`_support`, grouped into multiple roots and Newton-polished once by
+    :func:`_root_clusters`.  A group whose centre lies within 1e-6 of
+    ``|z| = 1`` gives a zero at the centre's angle, kept when ``|lam|`` there
+    falls below 1e-8 of the coefficient scale.
     """
-    c = _laurent(model)
+    c, lo, hi = _support(model)
     scale = float(np.abs(c).sum())
     zeros = []
-    for centre, m in _root_clusters(np.trim_zeros(c[::-1], "f")):
+    for centre, m in _root_clusters(c[lo:hi + 1][::-1]):
         if abs(abs(centre) - 1.0) >= _CIRCLE_TOL:
             continue
         k0 = cmath.phase(centre) % TWO_PI % TWO_PI   # the second % maps a tiny negative angle's 2pi to 0
@@ -268,15 +283,14 @@ def _step_phase(model: ModelSpec):
     between zeros, or None when ``g`` is not of that form.
 
     For real couplings that holds exactly when the coefficients of
-    :func:`_laurent`, trimmed to ``c_m .. c_d``, are symmetric or
-    antisymmetric about their centre ``nu = (m + d)/2 - w`` to 16 eps of the
-    coefficient scale: the pairs ``c_j, c_{2 nu - j} = +-c_j`` make
-    ``lam e^{-i nu k}`` real or imaginary.  Isotropic tables are symmetric
+    :func:`_laurent`, trimmed to the support ``c_m .. c_d`` of
+    :func:`_support`, are symmetric or antisymmetric about their centre
+    ``nu = (m + d)/2 - w`` to 16 eps of the coefficient scale: the pairs
+    ``c_j, c_{2 nu - j} = +-c_j`` make ``lam e^{-i nu k}`` real or imaginary.  Isotropic tables are symmetric
     with ``nu = 0``; in roots, every root of ``z^w lam`` off ``|z| = 1`` and
     0 comes with its mirror ``1/conj(z)``.
     """
-    c = _laurent(model)
-    m, d = np.flatnonzero(c)[[0, -1]]
+    c, m, d = _support(model)
     q = c[m:d + 1]
     mirror = np.sign(q[0]) * np.sign(q[-1]) * q[::-1]
     if np.abs(q - mirror).max() > _MIRROR_ULPS * _EPS * np.abs(c).sum():

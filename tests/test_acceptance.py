@@ -20,7 +20,6 @@ from singlecopy.toeplitz import build_T, block_spectrum
 from singlecopy.entangle import sector_decompose
 from singlecopy.asymptotics import (
     bound_chain,
-    fh_slope,
     fit_log,
     geometric_grid,
     saturation_test,
@@ -130,8 +129,9 @@ def test_criterion_9_majorization_equivalence():
 
 
 def test_criterion_10_determinant_slope(xx_scan):
-    fit = fh_slope(xx_scan)
-    slope, beta_sq = fit.slope, fit.predicted_slope
+    fit = fit_log(xx_scan, "ln_absdet_T")
+    # -ln|det T_L| against ln L; predicted_slope is -ln 2 * sum beta^2 per log2 L
+    slope, beta_sq = -fit.slope / math.log(2), -fit.predicted_slope / math.log(2)
     ok = abs(slope - 0.5) <= 0.05 and beta_sq == pytest.approx(0.5, abs=1e-9)
     _report(10, ok, f"-ln|det T| slope={slope:.4f} vs sum(beta^2)={beta_sq:.4f} (0.5 +- 0.05)")
 

@@ -11,7 +11,6 @@ from singlecopy.asymptotics import (
     ScanRow,
     ScanSeries,
     bound_chain,
-    fh_slope,
     fit_log,
     geometric_grid,
     integral_check,
@@ -149,24 +148,33 @@ def test_bound_chain_forced_inequalities_on_random_spectra():
 
 
 def test_fh_slope_small_grid_prediction():
-    fit = fh_slope(scan(XX2, geometric_grid(64, 512)))
-    assert fit.predicted_slope == pytest.approx(0.5, abs=1e-9)
-    assert fit.slope == pytest.approx(0.5, abs=0.05)
-    assert fit.quantity == "neg_ln_absdet_T"
+    # ln|det T_L| ~ -sum beta^2 ln L, so per unit of log2 L the slope is
+    # -ln 2 * sum beta^2; xx has two Fermi points, sum beta^2 = 1/2
+    fit = fit_log(scan(XX2, geometric_grid(64, 512)), "ln_absdet_T")
+    assert fit.predicted_slope == pytest.approx(-0.5 * math.log(2), abs=1e-12)
+    assert -fit.slope / math.log(2) == pytest.approx(0.5, abs=0.05)
+    assert fit.quantity == "ln_absdet_T"
 
 
 def test_fh_slope_gapped_zero_winding_model_saturates():
     # continuous symbol that does not encircle the origin: |det T_L| -> const
-    fit = fh_slope(scan(build_model("xy", a=0.5, gamma=0.5), geometric_grid(32, 256)))
-    assert abs(fit.slope) < 0.02
-    assert fit.predicted_slope == 0.0
+    fit = fit_log(scan(build_model("xy", a=0.5, gamma=0.5), geometric_grid(32, 256)),
+                  "ln_absdet_T")
+    assert abs(fit.slope / math.log(2)) < 0.02
+    assert fit.predicted_slope == 0.0 and math.copysign(1.0, fit.predicted_slope) == 1.0
 
 
 def test_fh_slope_prediction_counts_four_fermi_points():
     # lam = 0.2 - 0.8 cos k - 2 cos 2k changes sign four times
     model = build_model("custom", A=(0.2, -0.4, -1))
-    fit = fh_slope(scan(model, geometric_grid(32, 256)))
-    assert fit.predicted_slope == 1.0
+    fit = fit_log(scan(model, geometric_grid(32, 256)), "ln_absdet_T")
+    assert fit.predicted_slope == -math.log(2)
+
+
+def test_only_the_determinant_fit_carries_a_prediction():
+    series = scan(XX2, geometric_grid(32, 128))
+    for quantity in ("e1_cont_bits", "E1_bits", "entropy_bits", "rms_term_bits"):
+        assert fit_log(series, quantity).predicted_slope is None
 
 
 def test_gapped_winding_symbol_has_one_collapsing_singular_value():
@@ -185,7 +193,7 @@ def test_gapped_winding_symbol_has_one_collapsing_singular_value():
 
 def test_fh_requires_enough_points():
     with pytest.raises(ModelError):
-        fh_slope(scan(XX2, (8, 16)))
+        fit_log(scan(XX2, (8, 16)), "ln_absdet_T")
 
 
 # --- the closed integral -----------------------------------------------------

@@ -11,7 +11,8 @@ from singlecopy.cli import run
 from singlecopy.model import build_model
 from singlecopy.entangle import EntanglementReport, report
 from singlecopy.oracle import OracleComparison, compare_oracle
-from singlecopy.asymptotics import ScalingFit, ScanRow, ScanSeries, fh_slope, geometric_grid, scan
+from singlecopy.toeplitz import coefficient_table
+from singlecopy.asymptotics import ScalingFit, ScanRow, ScanSeries, fit_log, geometric_grid, scan
 from singlecopy.serialize import (
     comparison_to_dict,
     dumps,
@@ -138,15 +139,6 @@ def test_ep_dims_out_of_range_is_usage_error(dims, capsys):
     assert "--ep-dims must be in [1, 1024]" in err
 
 
-def test_two_term_with_determinant_fit_is_usage_error(capsys):
-    code, out, err = run_cli(["fit", "--model", "xx", "--a", "2", "--L-min", "16",
-                              "--L-max", "64", "--quantity", "neg_ln_absdet_T",
-                              "--two-term"], capsys)
-    assert code == 1
-    assert out == ""
-    assert "--two-term" in err
-
-
 def test_two_term_fit_through_L_1_is_numerical_failure(capsys):
     # log2(log2 1) = -inf would enter the two-term design matrix
     code, out, err = run_cli(["fit", "--model", "xx", "--a", "2", "--L-min", "1",
@@ -185,6 +177,25 @@ def test_numerical_failure_exit_2(capsys):
     # block lengths stop at 4096, before any coefficient is computed
     code, out, err = run_cli(["analyze", "--model", "xx", "--a", "2", "--L", "4097"], capsys)
     assert code == 2 and out == "" and "4096" in err
+
+
+@pytest.mark.parametrize("argv, model, t0", [
+    (["--model", "xx", "--a", "1e-320"], build_model("xx", a=1e-320), -1.0),
+    (["--model", "custom", "--A=1,1e-320"], build_model("custom", A=(1, 1e-320)), 1.0),
+], ids=["xx", "custom"])
+def test_subnormal_couplings_give_the_constant_chain(argv, model, t0, capsys):
+    # the subnormal end coupling used to crash the root finder (exit 1)
+    code, out, _ = run_cli(["analyze", *argv, "--L", "4"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["E1_bits"] == payload["entropy_bits"] == 0
+    assert coefficient_table(model, 4).coeff(0) == t0
+
+
+def test_overflowing_couplings_are_a_numerical_failure(capsys):
+    code, out, err = run_cli(["analyze", "--model", "custom", "--A=1e308,1e308", "--L", "4"],
+                             capsys)
+    assert code == 2 and out == "" and "overflow" in err
 
 
 def test_usage_error_writes_no_partial_file(tmp_path, capsys):
@@ -260,7 +271,7 @@ def test_minus_inf_round_trips_as_string():
 
 
 def test_fit_round_trip():
-    fit = fh_slope(scan(build_model("xx", a=2), geometric_grid(32, 128)))
+    fit = fit_log(scan(build_model("xx", a=2), geometric_grid(32, 128)), "ln_absdet_T")
     parsed = from_dict(ScalingFit, json.loads(dumps(to_dict(fit))))
     assert parsed == fit
 
@@ -315,7 +326,7 @@ MODEL_KEYS = ("model", [("label", None), ("w", None), ("A", None), ("B", None),
       ("grid_range", None), ("two_term", [("a", None), ("b", None), ("c", None)]),
       ("version", None)]),
     (["fit", "--model", "xx", "--a", "2", "--L-min", "16", "--L-max", "64",
-      "--quantity", "neg_ln_absdet_T"],
+      "--quantity", "ln_absdet_T"],
      [("quantity", None), ("slope", None), ("intercept", None), ("rms_residual", None),
       ("grid_range", None), ("predicted_slope", None), ("version", None)]),
     (["oracle", "--model", "xx", "--a", "2", "--n", "10", "--L", "5"],

@@ -30,19 +30,19 @@ def sorted_spectra(min_size=1, max_size=32):
 # --- single-copy floor ------------------------------------------------------
 
 def test_single_copy_examples():
-    res = single_copy_E1(0.3)
+    res = single_copy_E1(math.log(0.3))
     assert res.M_max == 3
     assert res.E1_bits == pytest.approx(math.log2(3))
-    assert single_copy_E1(1.0).M_max == 1
-    assert single_copy_E1(1.0).E1_bits == 0.0
-    assert single_copy_E1(0.500001).M_max == 1
+    assert single_copy_E1(0.0).M_max == 1
+    assert single_copy_E1(0.0).E1_bits == 0.0
+    assert single_copy_E1(math.log(0.500001)).M_max == 1
 
 
 def test_single_copy_floor_guard():
     # 1/(1/3) rounds to 2.9999999999999996; the guard must still floor to 3
-    assert single_copy_E1(1 / 3).M_max == 3
-    assert single_copy_E1(0.2).M_max == 5
-    assert single_copy_E1(1 / 7).M_max == 7
+    assert single_copy_E1(math.log(1 / 3)).M_max == 3
+    assert single_copy_E1(math.log(0.2)).M_max == 5
+    assert single_copy_E1(math.log(1 / 7)).M_max == 7
 
 
 def test_single_copy_log_domain_and_saturation():
@@ -55,11 +55,10 @@ def test_single_copy_log_domain_and_saturation():
 
 def test_single_copy_rejects_bad_alpha():
     with pytest.raises(InvalidSpectrumError):
-        single_copy_E1(0.0)
+        single_copy_E1(math.log(1.1))
     with pytest.raises(InvalidSpectrumError):
-        single_copy_E1(1.1)
-    with pytest.raises(InvalidSpectrumError):
-        single_copy_E1(0.5, ln_alpha1=-0.1)
+        single_copy_E1(math.nan)
+    assert single_copy_E1(-math.inf).M_max is None   # alpha1 = 0: no floor
 
 
 @settings(max_examples=200, deadline=None)
@@ -67,7 +66,7 @@ def test_single_copy_rejects_bad_alpha():
 # 1/alpha1 = 3.999999999999999 snaps M_max up to 4 while -log2 alpha1 rounds below 2
 @example(np.array([0.25000000000000006, 0.25, 0.25, 0.25]))
 def test_floor_sandwich(vals):
-    res = single_copy_E1(float(vals[0]))
+    res = single_copy_E1(math.log(vals[0]))
     assert 0.0 <= res.E1_bits <= res.e1_cont_bits < res.E1_bits + 1.0
 
 
@@ -89,7 +88,7 @@ def test_nielsen_rejects_invalid():
 @settings(max_examples=300, deadline=None)
 @given(sorted_spectra())
 def test_largest_feasible_M_equals_floor(vals):
-    res = single_copy_E1(float(vals[0]))
+    res = single_copy_E1(math.log(vals[0]))
     feasible = [m for m in range(1, len(vals) + 2) if nielsen_transformable(vals, m)]
     assert max(feasible) == res.M_max
 
@@ -122,7 +121,7 @@ def test_ep_respects_M_cap():
 @settings(max_examples=150, deadline=None)
 @given(sorted_spectra(max_size=16))
 def test_ep_sandwich(vals):
-    res = single_copy_E1(float(vals[0]))
+    res = single_copy_E1(math.log(vals[0]))
     ep = probabilistic_Ep(vals)
     entropy = float(-(vals * np.log2(vals)).sum())
     assert ep.Ep_bits >= res.E1_bits - 1e-9

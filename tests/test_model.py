@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,30 @@ def test_build_model_rejects_bad_input():
         build_model("xy", a=1, gamma=math.nan)
     with pytest.raises(ModelError):
         ModelSpec(label="custom", w=1, A=(1.0,), B=())  # wrong lengths
+
+
+@pytest.mark.parametrize("A, B", [
+    ((1e308, 1e308), None),                  # c_{-1} + c_0 + c_1 = 3e308
+    ((1.0, 1e308), (1e308,)),                # c_1 = A_1 - 2 B_1 = -1e308, c_{-1} = inf
+], ids=["sum", "coefficient"])
+def test_overflowing_laurent_coefficients_are_refused(A, B):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match="overflow"):
+            build_model("custom", A=A, B=B)
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(build_model("xx", a=1e-320), id="xx-subnormal"),
+    pytest.param(build_model("custom", A=(1.0, 1e-320)), id="custom-subnormal"),
+    pytest.param(build_model("custom", A=(2.0, 1e-17, 1e-17), B=(0.0, 1e-17)), id="below-eps"),
+])
+def test_negligible_end_coefficients_are_dropped(model):
+    # end coefficients at or below eps * sum |c_j| move lam by less than its
+    # rounding; a subnormal leading one made the companion matrix infinite
+    profile = classify_criticality(model)
+    assert profile.fermi_points == profile.marginal_points == ()
+    assert profile.step_phase == 0.0
 
 
 def test_symbol_values():

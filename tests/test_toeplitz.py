@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import random
@@ -11,7 +12,7 @@ from numpy.polynomial import chebyshev, polynomial
 
 from singlecopy import model as model_module, toeplitz
 from singlecopy.errors import CoefficientAccuracyError, ModelError
-from singlecopy.model import build_model, classify_criticality, symbol_eval
+from singlecopy.model import TWO_PI, build_model, classify_criticality, symbol_eval
 from singlecopy.toeplitz import (
     block_spectrum,
     build_T,
@@ -265,6 +266,42 @@ def test_a_root_just_inside_the_circle_gets_no_closed_form():
     assert classify_criticality(model).step_phase is None
     with pytest.raises(CoefficientAccuracyError, match="t_0 quadrature exhausted its node budget"):
         coefficient_table(model, 8)
+
+
+# xy draw 1 of the benchmark: gapped, and its symbol winds once around 0, so
+# one singular value of T_L decays like e^{-cL} (ROADMAP item 1)
+WINDING = build_model("xy", a=2.7712, gamma=0.6055)
+
+
+@functools.lru_cache(maxsize=None)
+def _winding_tables():
+    """Quadrature table to L=64 and a 2^20-point FFT table on the grid shifted
+    by half a step, ``t_l = e^{-i pi l/N} fft(g)_l / N``."""
+    n = 2 ** 20
+    g = symbol_eval(WINDING, TWO_PI * (np.arange(n) + 0.5) / n)
+    l = np.arange(-63, 64)
+    fft = (np.fft.fft(g)[l % n] * np.exp(-1j * math.pi * l / n)).real / n
+    return coefficient_table(WINDING, 64), toeplitz.ToeplitzCoeffs(64, fft, "fft")
+
+
+def _winding_ln_absdet(L):
+    return [block_spectrum(build_T(WINDING, L, table=tab)).ln_absdet_T
+            for tab in _winding_tables()]
+
+
+def test_winding_chain_tables_agree():
+    quad, fft = _winding_tables()
+    assert np.abs(quad.t - fft.t).max() < 1e-14
+    det_quad, det_fft = _winding_ln_absdet(32)   # mu_min 2.3e-11, well above both errors
+    assert det_quad == pytest.approx(det_fft, abs=1e-4)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_winding_chain_determinant_is_resolved_by_either_table():
+    # at L=64 mu_min (1.4e-21 in truth) sits below both tables' errors:
+    # -37.164 against -40.847, while the true value is -48.054
+    det_quad, det_fft = _winding_ln_absdet(64)
+    assert det_quad == pytest.approx(det_fft, abs=1e-6)
 
 
 @pytest.mark.parametrize("L", [64, 256, 1024])

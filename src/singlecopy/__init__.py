@@ -48,14 +48,12 @@ from .oracle import (
 )
 from .asymptotics import (
     BoundChain,
-    IntegralCheck,
     ScalingFit,
     ScanRow,
     ScanSeries,
     bound_chain,
     fit_log,
     geometric_grid,
-    integral_check,
     saturation_test,
     scan,
 )

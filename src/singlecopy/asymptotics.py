@@ -1,9 +1,8 @@
-"""Block-length scans, scaling fits, and the closed-form integral check.
+"""Block-length scans and scaling fits.
 
 Scans share one coefficient table across their whole geometric grid, fit
-quantities against log2(L), detect saturation over the top octave, report
-the three-term determinant bound chain, and verify the closed integral
-behind the 1/6 scaling coefficient by adaptive quadrature.
+quantities against log2(L), detect saturation over the top octave, and
+report the three-term determinant bound chain.
 """
 
 from __future__ import annotations
@@ -216,34 +215,3 @@ def bound_chain(row: ScanRow) -> BoundChain:
     return BoundChain(row.e1_cont_bits * LN2 + 0.0, row.rms_term_bits * LN2 + 0.0,
                       -0.5 * row.ln_absdet_T + 0.0)
 
-
-@dataclass(frozen=True)
-class IntegralCheck:
-    value_natural_log: float
-    abs_err_estimate: float
-
-
-def _half_integrand(x: float) -> float:
-    # ln((1+x)/2) / (1 - x^2) with the removable 0/0 at x -> 1 series-expanded
-    u = 1.0 - x
-    if u < 1e-6:
-        return -(0.5 + u / 8.0 + u * u / 24.0) / (2.0 - u)
-    return math.log1p((x - 1.0) / 2.0) / ((1.0 - x) * (1.0 + x))
-
-
-def integral_check() -> IntegralCheck:
-    """(2/pi^2) * integral over [-1, 1] of ln((1+|x|)/2)/(1-x^2), to 1e-10.
-
-    Evaluated as twice the half-interval integral (the integrand is even).
-    """
-    abs_tol = 1e-10
-    from scipy.integrate import quad   # deferred: only `check --integral` needs it
-    half, err = quad(_half_integrand, 0.0, 1.0, epsabs=abs_tol / 16.0,
-                     epsrel=1e-13, limit=200)
-    scale = 4.0 / math.pi ** 2
-    if err * scale > abs_tol:
-        raise ToolkitError(
-            f"integral tolerance not met: error estimate {err * scale:.3e} > {abs_tol:.3e}"
-        )
-    value = scale * half
-    return IntegralCheck(value, err * scale)

@@ -1,23 +1,20 @@
 """Command-line front end.
 
 Subcommands: ``analyze`` (one report), ``scan`` (grid of block lengths),
-``fit`` (scan + scaling fit), ``oracle`` (cross-validation), ``check``
-(built-in self checks).  Exit codes: 0 ok, 1 usage error, 2 numerical
-failure, 3 failed check.
+``fit`` (scan + scaling fit), ``oracle`` (cross-validation).  Exit codes:
+0 ok, 1 usage error (including a model flag the model kind does not read),
+2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .asymptotics import SCAN_FIELDS, fit_log, geometric_grid, integral_check, scan
-from .entangle import MAX_EP_DIMS, nielsen_transformable, probabilistic_Ep, report, single_copy_E1
-from .errors import ToolkitError
+from .asymptotics import SCAN_FIELDS, fit_log, geometric_grid, scan
+from .entangle import MAX_EP_DIMS, report
+from .errors import ModelError, ToolkitError
 from .model import build_model
 from .oracle import compare_oracle
 from .serialize import dumps, scan_to_csv, to_dict
@@ -25,7 +22,6 @@ from .serialize import dumps, scan_to_csv, to_dict
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
-EXIT_CHECK = 3
 
 
 class UsageError(Exception):
@@ -85,23 +81,19 @@ def build_parser() -> _Parser:
     p.add_argument("--pair", choices=("gaussian-vs-ed", "gaussian-vs-thermodynamic"),
                    default="gaussian-vs-ed")
 
-    p = subs.add_parser("check", help="built-in self checks")
-    for name in CHECKS:
-        p.add_argument(f"--{name}", action="store_true")
-
     # each subcommand takes only the flags it reads
     for name, p in subs.choices.items():
         p.add_argument("--out", default=None, metavar="PATH")
-        if name != "check":
-            p.add_argument("--format", choices=("json", "csv") if name == "scan" else ("json",),
-                           default="json")
+        p.add_argument("--format", choices=("json", "csv") if name == "scan" else ("json",),
+                       default="json")
     return parser
 
 
 def _model_from_args(args):
-    if args.model == "custom" and args.A is None:
-        raise UsageError("custom model needs --A")
-    return build_model(args.model, a=args.a, gamma=args.gamma, A=args.A, B=args.B)
+    try:
+        return build_model(args.model, a=args.a, gamma=args.gamma, A=args.A, B=args.B)
+    except ModelError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _grid_from_args(args):
@@ -112,18 +104,15 @@ def _grid_from_args(args):
     return geometric_grid(args.L_min, args.L_max, args.per_octave)
 
 
-def _emit_text(text: str, out_path):
+def emit(result, fmt: str, out_path) -> None:
+    """Serialize one result dataclass to its destination (CSV, which only
+    ``scan`` accepts, for a scan series)."""
+    text = scan_to_csv(result) if fmt == "csv" else dumps(to_dict(result))
     if out_path is None:
         sys.stdout.write(text)
     else:
         with open(out_path, "w") as fh:
             fh.write(text)
-
-
-def emit(result, fmt: str, out_path) -> None:
-    """Serialize one result dataclass to its destination (CSV, which only
-    ``scan`` accepts, for a scan series)."""
-    _emit_text(scan_to_csv(result) if fmt == "csv" else dumps(to_dict(result)), out_path)
 
 
 def _cmd_analyze(args):
@@ -162,71 +151,11 @@ def _cmd_oracle(args):
     return EXIT_OK
 
 
-def check_integral():
-    """The scaling integral against its closed form -1/6."""
-    ic = integral_check()
-    ok = abs(ic.value_natural_log + 1.0 / 6.0) <= 1e-9
-    return ok, (f"value={ic.value_natural_log:.12f} target=-1/6"
-                f" (diff {abs(ic.value_natural_log + 1.0 / 6.0):.2e})")
-
-
-def check_oracle():
-    """Finite Gaussian chain against exact diagonalization for xx(2) and ising."""
-    results = [(kind, compare_oracle(build_model(kind, **kwargs), n, L, "gaussian-vs-ed"))
-               for kind, kwargs, n, L in (("xx", {"a": 2.0}, 10, 5), ("ising", {}, 9, 3))]
-    ok = all(c.max_abs_diff < 1e-8 and c.gap > 1e-6 for _, c in results)
-    return ok, "; ".join(f"{kind} n={c.n} L={c.L}: diff={c.max_abs_diff:.2e} gap={c.gap:.2e}"
-                         for kind, c in results)
-
-
-def check_majorization():
-    """Nielsen's criterion against the E1 floor on 10^4 random spectra, and
-    E1 <= Ep <= S on 10^3 more (d <= 32, seed 20240917)."""
-    rng = np.random.default_rng(20240917)
-
-    def spectrum():
-        vals = np.sort(rng.random(int(rng.integers(1, 33))))[::-1]
-        return vals / vals.sum()
-
-    mismatches = 0
-    for _ in range(10_000):
-        vals = spectrum()
-        m_best = 0
-        for m in range(1, vals.size + 2):
-            if not nielsen_transformable(vals, m):
-                break
-            m_best = m
-        mismatches += m_best != single_copy_E1(math.log(vals[0])).M_max
-    ep_bad = 0
-    for _ in range(1_000):
-        vals = spectrum()
-        ep = probabilistic_Ep(vals).Ep_bits
-        shannon = float(-(vals * np.log2(vals, where=vals > 0,
-                                         out=np.zeros_like(vals))).sum())
-        ep_bad += not (single_copy_E1(math.log(vals[0])).E1_bits - 1e-9 <= ep <= shannon + 1e-9)
-    return mismatches == 0 and ep_bad == 0, (
-        f"nielsen-vs-floor mismatches: {mismatches}/10000;"
-        f" Ep sandwich violations: {ep_bad}/1000")
-
-
-CHECKS = {"integral": check_integral, "oracle": check_oracle,
-          "majorization": check_majorization}
-
-
-def _cmd_check(args):
-    wanted = [name for name in CHECKS if getattr(args, name)] or list(CHECKS)
-    results = [(name, *CHECKS[name]()) for name in wanted]
-    _emit_text("".join(f"[{name}] {'PASS' if ok else 'FAIL'} {detail}\n"
-                       for name, ok, detail in results), args.out)
-    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_CHECK
-
-
 _COMMANDS = {
     "analyze": _cmd_analyze,
     "scan": _cmd_scan,
     "fit": _cmd_fit,
     "oracle": _cmd_oracle,
-    "check": _cmd_check,
 }
 
 

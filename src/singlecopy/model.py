@@ -127,9 +127,18 @@ def build_model(kind: str = "custom", *, a=None, gamma=None, A=None, B=None) -> 
     """Construct a validated :class:`ModelSpec`.
 
     Presets expand as ``xy(a, gamma) -> w=1, A=(-1, a/2), B=(-gamma*a/4,)``,
-    ``xx(a) = xy(a, 0)`` and ``ising = xy(1, 1)``.  ``custom`` takes explicit
-    coupling arrays (``B`` defaults to zeros of the right length).
+    ``xx(a) = xy(a, 0)`` and ``ising = xy(1, 1)``, and read only ``a`` and
+    ``gamma``.  ``custom`` reads only the coupling arrays ``A`` (at least
+    ``A_0``) and ``B`` (zeros of the right length by default).  A parameter
+    the kind does not read is refused, not ignored.
     """
+    if kind not in ("ising", "xx", "xy", "custom"):
+        raise ModelError(f"unknown model kind {kind!r}")
+    reads = ("A", "B") if kind == "custom" else ("a", "gamma")
+    unread = [name for name, value in (("a", a), ("gamma", gamma), ("A", A), ("B", B))
+              if value is not None and name not in reads]
+    if unread:
+        raise ModelError(f"the {kind} model does not read {' or '.join(unread)}")
     if kind == "ising":
         if (a is not None and float(a) != 1.0) or (gamma is not None and float(gamma) != 1.0):
             raise ModelError("the ising preset fixes a=1, gamma=1")
@@ -146,17 +155,13 @@ def build_model(kind: str = "custom", *, a=None, gamma=None, A=None, B=None) -> 
         gv = _require_param("gamma", gamma)
         Ac, Bc = _xy_couplings(av, gv)
         return ModelSpec("xy", 1, Ac, Bc, av, gv)
-    if kind == "custom":
-        if A is None:
-            raise ModelError("custom model needs the symmetric coupling array A")
-        At = tuple(float(x) for x in np.atleast_1d(np.asarray(A, dtype=float)))
-        w = len(At) - 1
-        if B is None:
-            Bt = (0.0,) * w
-        else:
-            Bt = tuple(float(x) for x in np.atleast_1d(np.asarray(B, dtype=float))) if np.size(B) else ()
-        return ModelSpec("custom", w, At, Bt)
-    raise ModelError(f"unknown model kind {kind!r}")
+    At = () if A is None else tuple(float(x) for x in np.atleast_1d(np.asarray(A, dtype=float)))
+    if not At:
+        raise ModelError("custom model needs the symmetric couplings A_0 .. A_w, at least A_0")
+    w = len(At) - 1
+    Bt = ((0.0,) * w if B is None
+          else tuple(float(x) for x in np.atleast_1d(np.asarray(B, dtype=float))))
+    return ModelSpec("custom", w, At, Bt)
 
 
 def _laurent(model: ModelSpec) -> np.ndarray:

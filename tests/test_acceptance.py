@@ -1,10 +1,9 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 The three production scans are shared module-level fixtures; every other
-criterion is an exact property or oracle check.  Criteria 6, 7 and 9 run the
-checks of ``singlecopy check`` and add only their own extras (the elapsed-time
-bound, the dilogarithm oracle).  Run with ``pytest -s`` to
-see the per-criterion lines.
+criterion is an exact property or oracle check.  Criterion 7 takes the
+quadrature of the scaling integral and its dilogarithm oracle from
+``test_asymptotics``.  Run with ``pytest -s`` to see the per-criterion lines.
 """
 
 import itertools
@@ -13,11 +12,16 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import spence
 
 from singlecopy.model import build_model
 from singlecopy.toeplitz import build_T, block_spectrum
-from singlecopy.entangle import sector_decompose
+from singlecopy.entangle import (
+    nielsen_transformable,
+    probabilistic_Ep,
+    sector_decompose,
+    single_copy_E1,
+)
+from singlecopy.oracle import compare_oracle
 from singlecopy.asymptotics import (
     bound_chain,
     fit_log,
@@ -25,7 +29,7 @@ from singlecopy.asymptotics import (
     saturation_test,
     scan,
 )
-from singlecopy.cli import check_integral, check_majorization, check_oracle
+from test_asymptotics import dilog_half_interval, scaling_integral
 
 XX2 = build_model("xx", a=2)
 XY = build_model("xy", a=2, gamma=0.5)
@@ -94,18 +98,23 @@ def test_criterion_5_ising_divergence(ising_scan):
 
 
 def test_criterion_6_oracle_equivalence():
+    # finite Gaussian chain against exact diagonalization for xx(2) and ising
     t0 = time.time()
-    ok, detail = check_oracle()
+    results = [(kind, compare_oracle(model, n, L, "gaussian-vs-ed"))
+               for kind, model, n, L in (("xx", XX2, 10, 5), ("ising", ISING, 9, 3))]
     elapsed = time.time() - t0
+    ok = all(c.max_abs_diff < 1e-8 and c.gap > 1e-6 for _, c in results)
+    detail = "; ".join(f"{kind} n={c.n} L={c.L}: diff={c.max_abs_diff:.2e} gap={c.gap:.2e}"
+                       for kind, c in results)
     _report(6, ok and elapsed < 120.0, f"{detail}; took {elapsed:.1f}s")
 
 
 def test_criterion_7_integral_identity():
     # independent dilogarithm oracle first: each half-interval is -pi^2/24
-    ln2 = math.log(2.0)
-    oracle_half = 0.5 * (-ln2 ** 2 / 2.0 - float(spence(0.5)))
-    assert oracle_half == pytest.approx(-math.pi ** 2 / 24.0, abs=1e-13)
-    _report(7, *check_integral())
+    assert dilog_half_interval() == pytest.approx(-math.pi ** 2 / 24.0, abs=1e-13)
+    value = scaling_integral()
+    diff = abs(value + 1.0 / 6.0)
+    _report(7, diff <= 1e-9, f"value={value:.12f} target=-1/6 (diff {diff:.2e})")
 
 
 def test_criterion_8_bound_chain_over_all_spectra(xx_scan, xy_scan, ising_scan):
@@ -125,7 +134,33 @@ def test_criterion_8_bound_chain_over_all_spectra(xx_scan, xy_scan, ising_scan):
 
 
 def test_criterion_9_majorization_equivalence():
-    _report(9, *check_majorization())
+    # Nielsen's criterion against the E1 floor on 10^4 random spectra, and
+    # E1 <= Ep <= S on 10^3 more (d <= 32)
+    rng = np.random.default_rng(20240917)
+
+    def spectrum():
+        vals = np.sort(rng.random(int(rng.integers(1, 33))))[::-1]
+        return vals / vals.sum()
+
+    mismatches = 0
+    for _ in range(10_000):
+        vals = spectrum()
+        m_best = 0
+        for m in range(1, vals.size + 2):
+            if not nielsen_transformable(vals, m):
+                break
+            m_best = m
+        mismatches += m_best != single_copy_E1(math.log(vals[0])).M_max
+    ep_bad = 0
+    for _ in range(1_000):
+        vals = spectrum()
+        ep = probabilistic_Ep(vals).Ep_bits
+        shannon = float(-(vals * np.log2(vals, where=vals > 0,
+                                         out=np.zeros_like(vals))).sum())
+        ep_bad += not (single_copy_E1(math.log(vals[0])).E1_bits - 1e-9 <= ep <= shannon + 1e-9)
+    _report(9, mismatches == 0 and ep_bad == 0,
+            f"nielsen-vs-floor mismatches: {mismatches}/10000;"
+            f" Ep sandwich violations: {ep_bad}/1000")
 
 
 def test_criterion_10_determinant_slope(xx_scan):

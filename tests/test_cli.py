@@ -95,12 +95,6 @@ def test_oracle_subcommand(capsys):
     assert payload["defect"] is False
 
 
-def test_check_integral(capsys):
-    code, out, _ = run_cli(["check", "--integral"], capsys)
-    assert code == 0
-    assert "[integral] PASS" in out
-
-
 def test_usage_errors_exit_1(capsys):
     code, _, err = run_cli(["analyze", "--model", "xx", "--a", "2"], capsys)  # no --L
     assert code == 1
@@ -115,19 +109,35 @@ def test_usage_errors_exit_1(capsys):
     code, _, err = run_cli(["analyze", "--model", "xx", "--a", "2", "--L", "8",
                             "--config", "cfg.json"], capsys)  # removed flag
     assert code == 1
+    code, out, err = run_cli(["check"], capsys)  # removed subcommand
+    assert code == 1 and out == "" and "invalid choice: 'check'" in err
 
 
 @pytest.mark.parametrize("argv", [
-    ["check", "--integral", "--format", "csv"],
-    ["check", "--integral", "--tol", "5"],
     ["oracle", "--model", "xx", "--a", "2", "--n", "10", "--L", "5", "--tol", "1e-2"],
     ["analyze", "--model", "ising", "--L", "16", "--tol", "1e-12"],
-], ids=["check-format", "check-tol", "oracle-tol", "analyze-tol"])
+], ids=["oracle-tol", "analyze-tol"])
 def test_flags_a_subcommand_ignores_are_usage_errors(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("model_flags, message", [
+    (["--model", "custom", "--A=1", "--a", "5"], "does not read a"),
+    (["--model", "custom", "--A=1", "--gamma", "3"], "does not read gamma"),
+    (["--model", "xx", "--a", "2", "--A=1,2"], "does not read A"),
+    (["--model", "ising", "--A=1,2"], "does not read A"),
+    (["--model", "xy", "--a", "2", "--gamma", "0.5", "--B=0.1"], "does not read B"),
+    (["--model", "custom", "--A="], "A_0"),
+    (["--model", "ising", "--a", "2"], "fixes a=1"),
+], ids=["custom-a", "custom-gamma", "xx-A", "ising-A", "xy-B", "custom-empty-A", "ising-a"])
+def test_model_flags_the_kind_does_not_read_are_usage_errors(model_flags, message, capsys):
+    code, out, err = run_cli(["analyze", *model_flags, "--L", "4"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:") and message in err
 
 
 @pytest.mark.parametrize("dims", ["0", "1025", "5000"])
@@ -192,10 +202,10 @@ def test_subnormal_couplings_give_the_constant_chain(argv, model, t0, capsys):
     assert coefficient_table(model, 4).coeff(0) == t0
 
 
-def test_overflowing_couplings_are_a_numerical_failure(capsys):
+def test_overflowing_couplings_are_a_usage_error(capsys):
     code, out, err = run_cli(["analyze", "--model", "custom", "--A=1e308,1e308", "--L", "4"],
                              capsys)
-    assert code == 2 and out == "" and "overflow" in err
+    assert code == 1 and out == "" and "overflow" in err
 
 
 def test_usage_error_writes_no_partial_file(tmp_path, capsys):

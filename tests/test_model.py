@@ -49,6 +49,24 @@ def test_build_model_rejects_bad_input():
         ModelSpec(label="custom", w=1, A=(1.0,), B=())  # wrong lengths
 
 
+@pytest.mark.parametrize("kind, kwargs, unread", [
+    ("xx", dict(a=2, A=(1,)), "A"),
+    ("ising", dict(B=(0.1,)), "B"),
+    ("xy", dict(a=2, gamma=0.5, A=(1, 2), B=(0.1,)), "A or B"),
+    ("custom", dict(A=(1,), gamma=0.5), "gamma"),
+    ("custom", dict(A=(1, 2), a=1), "a"),
+], ids=["xx-A", "ising-B", "xy-A-B", "custom-gamma", "custom-a"])
+def test_build_model_refuses_parameters_the_kind_does_not_read(kind, kwargs, unread):
+    with pytest.raises(ModelError, match=f"the {kind} model does not read {unread}$"):
+        build_model(kind, **kwargs)
+
+
+@pytest.mark.parametrize("A", [None, (), []], ids=["none", "tuple", "list"])
+def test_custom_model_needs_A_0(A):
+    with pytest.raises(ModelError, match="A_0"):
+        build_model("custom", A=A)
+
+
 @pytest.mark.parametrize("A, B", [
     ((1e308, 1e308), None),                  # c_{-1} + c_0 + c_1 = 3e308
     ((1.0, 1e308), (1e308,)),                # c_1 = A_1 - 2 B_1 = -1e308, c_{-1} = inf

@@ -99,13 +99,6 @@ def scan(model: ModelSpec, grid, progress=None) -> ScanSeries:
 
 
 @dataclass(frozen=True)
-class TwoTermFit:
-    a: float   # coefficient of log2 L
-    b: float   # coefficient of log2 log2 L
-    c: float   # constant
-
-
-@dataclass(frozen=True)
 class ScalingFit:
     """Least-squares fit of one scan quantity against log2(L).
 
@@ -120,7 +113,6 @@ class ScalingFit:
     intercept: float
     rms_residual: float
     grid_range: tuple[int, int]
-    two_term: TwoTermFit | None = None
     predicted_slope: float | None = None
     n_excluded: int = 0
 
@@ -142,16 +134,21 @@ def _series_points(series: ScanSeries, quantity: str, window):
     return pts, skipped
 
 
-def fit_log(series: ScanSeries, quantity: str, window=None, two_term: bool = False) -> ScalingFit:
+def fit_log(series: ScanSeries, quantity: str, window=None) -> ScalingFit:
     """Ordinary least squares of ``quantity`` against log2(L).
 
     For ``ln_absdet_T`` the fit carries the jump-exponent prediction of the
     symbol profile, ``predicted_slope = -ln 2 * sum_j beta_j^2``, in the same
-    units as ``slope``.
+    units as ``slope``.  A window of fewer than 3 rows is refused
+    (``ModelError``); fewer than 3 usable rows after failed or non-finite
+    ones is a numerical failure (``ToolkitError``).
     """
     pts, skipped = _series_points(series, quantity, window)
+    if len(pts) + skipped < 3:
+        raise ModelError("need at least 3 grid points in the window to fit")
     if len(pts) < 3:
-        raise ModelError("need at least 3 usable grid points to fit")
+        raise ToolkitError(f"only {len(pts)} of the window's {len(pts) + skipped} rows "
+                           "are usable (the others failed or are not finite); the fit needs 3")
     Ls = np.array([p[0] for p in pts], dtype=float)
     y = np.array([p[1] for p in pts])
     x = np.log2(Ls)
@@ -161,13 +158,6 @@ def fit_log(series: ScanSeries, quantity: str, window=None, two_term: bool = Fal
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))
-    two = None
-    if two_term:
-        if Ls.min() < 2:
-            raise ModelError("the two-term fit needs every L >= 2: log2(log2 1) is -inf")
-        design3 = np.vstack([x, np.log2(x), np.ones_like(x)]).T
-        c3, *_ = np.linalg.lstsq(design3, y, rcond=None)
-        two = TwoTermFit(float(c3[0]), float(c3[1]), float(c3[2]))
     predicted = None
     if quantity == "ln_absdet_T":
         predicted = -LN2 * classify_criticality(series.model).beta_sq_sum() + 0.0
@@ -177,7 +167,6 @@ def fit_log(series: ScanSeries, quantity: str, window=None, two_term: bool = Fal
         intercept=float(coef[1]),
         rms_residual=rms,
         grid_range=(int(Ls[0]), int(Ls[-1])),
-        two_term=two,
         predicted_slope=predicted,
         n_excluded=skipped,
     )

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``analyze`` (one report), ``scan`` (grid of block lengths),
-``fit`` (scan + scaling fit), ``oracle`` (cross-validation).  Exit codes:
-0 ok, 1 usage error (including a model flag the model kind does not read),
-2 numerical failure.
+``fit`` (scan + scaling fit), ``oracle`` (cross-validation).  The front end
+only parses; the library owns every input rule.  Exit codes: 0 ok, 1 usage
+error (a flag the parser refuses, or an input the library refuses with
+``ModelError``), 2 numerical failure (any other ``ToolkitError``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 from . import __version__
 from .asymptotics import SCAN_FIELDS, fit_log, geometric_grid, scan
-from .entangle import MAX_EP_DIMS, report
+from .entangle import report
 from .errors import ModelError, ToolkitError
 from .model import build_model
 from .oracle import compare_oracle
@@ -67,12 +68,12 @@ def build_parser() -> _Parser:
     p = subs.add_parser("scan", help="scan a geometric grid of block lengths")
     _add_model_flags(p)
     _add_grid_flags(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = subs.add_parser("fit", help="scan, then fit a quantity against log2(L)")
     _add_model_flags(p)
     _add_grid_flags(p)
     p.add_argument("--quantity", default="e1_cont_bits", choices=SCAN_FIELDS)
-    p.add_argument("--two-term", action="store_true")
 
     p = subs.add_parser("oracle", help="cross-validate Gaussian vs exact methods")
     _add_model_flags(p)
@@ -82,29 +83,22 @@ def build_parser() -> _Parser:
                    default="gaussian-vs-ed")
 
     # each subcommand takes only the flags it reads
-    for name, p in subs.choices.items():
+    for p in subs.choices.values():
         p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--format", choices=("json", "csv") if name == "scan" else ("json",),
-                       default="json")
     return parser
 
 
 def _model_from_args(args):
-    try:
-        return build_model(args.model, a=args.a, gamma=args.gamma, A=args.A, B=args.B)
-    except ModelError as exc:
-        raise UsageError(str(exc)) from exc
+    return build_model(args.model, a=args.a, gamma=args.gamma, A=args.A, B=args.B)
 
 
-def _grid_from_args(args):
-    if args.L_min < 1 or args.L_max < args.L_min:
-        raise UsageError("need 1 <= L-min <= L-max")
-    if not 1 <= args.per_octave <= args.L_max:
-        raise UsageError("need 1 <= per-octave <= L-max (L-max already lists every integer)")
-    return geometric_grid(args.L_min, args.L_max, args.per_octave)
+def _scan_from_args(args):
+    model = _model_from_args(args)
+    grid = geometric_grid(args.L_min, args.L_max, args.per_octave)
+    return scan(model, grid, progress=lambda msg: print(msg, file=sys.stderr))
 
 
-def emit(result, fmt: str, out_path) -> None:
+def emit(result, out_path, fmt: str = "json") -> None:
     """Serialize one result dataclass to its destination (CSV, which only
     ``scan`` accepts, for a scan series)."""
     text = scan_to_csv(result) if fmt == "csv" else dumps(to_dict(result))
@@ -116,38 +110,24 @@ def emit(result, fmt: str, out_path) -> None:
 
 
 def _cmd_analyze(args):
-    model = _model_from_args(args)
-    if args.L < 1:
-        raise UsageError("analyze needs --L >= 1")
-    if not 1 <= args.ep_dims <= MAX_EP_DIMS:
-        raise UsageError(f"--ep-dims must be in [1, {MAX_EP_DIMS}]")
-    rep = report(model, args.L, with_Ep=args.with_ep, with_sectors=args.with_sectors,
-                 Ep_dims=args.ep_dims)
-    emit(rep, args.format, args.out)
+    rep = report(_model_from_args(args), args.L, with_Ep=args.with_ep,
+                 with_sectors=args.with_sectors, Ep_dims=args.ep_dims)
+    emit(rep, args.out)
     return EXIT_OK
 
 
 def _cmd_scan(args):
-    model = _model_from_args(args)
-    grid = _grid_from_args(args)
-    series = scan(model, grid, progress=lambda msg: print(msg, file=sys.stderr))
-    emit(series, args.format, args.out)
+    emit(_scan_from_args(args), args.out, args.format)
     return EXIT_OK
 
 
 def _cmd_fit(args):
-    model = _model_from_args(args)
-    grid = _grid_from_args(args)
-    series = scan(model, grid, progress=lambda msg: print(msg, file=sys.stderr))
-    fit = fit_log(series, args.quantity, two_term=args.two_term)
-    emit(fit, args.format, args.out)
+    emit(fit_log(_scan_from_args(args), args.quantity), args.out)
     return EXIT_OK
 
 
 def _cmd_oracle(args):
-    model = _model_from_args(args)
-    cmp = compare_oracle(model, args.n, args.L, args.pair)
-    emit(cmp, args.format, args.out)
+    emit(compare_oracle(_model_from_args(args), args.n, args.L, args.pair), args.out)
     return EXIT_OK
 
 
@@ -165,7 +145,7 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.subcommand](args)
-    except UsageError as exc:
+    except (UsageError, ModelError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ToolkitError as exc:

@@ -274,10 +274,19 @@ class EntanglementReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _check_report_options(model: ModelSpec, with_sectors: bool, Ep_dims: int) -> None:
+    if not 1 <= Ep_dims <= MAX_EP_DIMS:
+        raise ModelError(f"Ep_dims must be in [1, {MAX_EP_DIMS}]")
+    if with_sectors and not model.isotropic:
+        raise ModelError(f"sectors need an isotropic model; the {model.label} model is not")
+
+
 def report_from_spectrum(model: ModelSpec, spec: BlockSpectrum, *,
                          with_Ep: bool = False, with_sectors: bool = False,
                          Ep_dims: int = 256) -> EntanglementReport:
-    """Assemble a report from an existing block spectrum."""
+    """Assemble a report from an existing block spectrum; refuses the
+    options :func:`report` refuses."""
+    _check_report_options(model, with_sectors, Ep_dims)
     sc = single_copy_E1(ln_alpha1=spec.ln_alpha1)
     diagnostics = {
         "ln_absdet_T": spec.ln_absdet_T,
@@ -291,9 +300,6 @@ def report_from_spectrum(model: ModelSpec, spec: BlockSpectrum, *,
         ep = probabilistic_Ep(vals, M_max=Ep_dims, tail_weight=tail)
         ep_bits = ep.Ep_bits
         diagnostics["Ep_truncated"] = bool(truncated or ep.truncated)
-    sectors = None
-    if with_sectors and model.isotropic:
-        sectors = sector_decompose(spec.mu, "plus")
     return EntanglementReport(
         model=model,
         L=spec.L,
@@ -302,7 +308,7 @@ def report_from_spectrum(model: ModelSpec, spec: BlockSpectrum, *,
         e1_cont_bits=sc.e1_cont_bits,
         entropy_bits=spec.entropy_bits,
         Ep_bits=ep_bits,
-        sectors=sectors,
+        sectors=sector_decompose(spec.mu, "plus") if with_sectors else None,
         diagnostics=diagnostics,
     )
 
@@ -311,11 +317,14 @@ def report(model: ModelSpec, L: int, *, with_Ep: bool = False,
            with_sectors: bool = False, Ep_dims: int = 256) -> EntanglementReport:
     """Full pipeline model -> T_L -> mu -> entanglement report.
 
-    Sectors are computed only for isotropic models (the reduction must be
-    occupation-diagonal); ``with_sectors`` is ignored otherwise.
+    Refuses, before computing anything, a block length outside
+    ``[1, MAX_L]``, an ``Ep_dims`` outside ``[1, MAX_EP_DIMS]``, and
+    ``with_sectors`` on an anisotropic model, whose reduction is not
+    occupation-diagonal (``ModelError`` each).
     """
     if not 1 <= L <= MAX_L:
         raise ModelError(f"block length L must be in [1, {MAX_L}]")
+    _check_report_options(model, with_sectors, Ep_dims)
     spec = block_spectrum(build_T(model, L))
     return report_from_spectrum(model, spec, with_Ep=with_Ep,
                                 with_sectors=with_sectors, Ep_dims=Ep_dims)

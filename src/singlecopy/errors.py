@@ -6,7 +6,7 @@ class ToolkitError(Exception):
 
 
 class ModelError(ToolkitError, ValueError):
-    """Invalid coupling table, preset parameters, or matrix input."""
+    """Refused input: coupling table, preset parameters, sizes, options or matrix."""
 
 
 class SymbolSingularError(ToolkitError):

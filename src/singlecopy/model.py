@@ -127,27 +127,24 @@ def build_model(kind: str = "custom", *, a=None, gamma=None, A=None, B=None) -> 
     """Construct a validated :class:`ModelSpec`.
 
     Presets expand as ``xy(a, gamma) -> w=1, A=(-1, a/2), B=(-gamma*a/4,)``,
-    ``xx(a) = xy(a, 0)`` and ``ising = xy(1, 1)``, and read only ``a`` and
-    ``gamma``.  ``custom`` reads only the coupling arrays ``A`` (at least
-    ``A_0``) and ``B`` (zeros of the right length by default).  A parameter
-    the kind does not read is refused, not ignored.
+    ``xx(a) = xy(a, 0)`` and ``ising = xy(1, 1)``: ``xy`` reads ``a`` and
+    ``gamma``, ``xx`` only ``a`` and ``ising`` neither.  ``custom`` reads only
+    the coupling arrays ``A`` (at least ``A_0``) and ``B`` (zeros of the right
+    length by default).  A parameter the kind does not read is refused, not
+    ignored.
     """
-    if kind not in ("ising", "xx", "xy", "custom"):
+    reads = {"ising": (), "xx": ("a",), "xy": ("a", "gamma"), "custom": ("A", "B")}
+    if kind not in reads:
         raise ModelError(f"unknown model kind {kind!r}")
-    reads = ("A", "B") if kind == "custom" else ("a", "gamma")
     unread = [name for name, value in (("a", a), ("gamma", gamma), ("A", A), ("B", B))
-              if value is not None and name not in reads]
+              if value is not None and name not in reads[kind]]
     if unread:
         raise ModelError(f"the {kind} model does not read {' or '.join(unread)}")
     if kind == "ising":
-        if (a is not None and float(a) != 1.0) or (gamma is not None and float(gamma) != 1.0):
-            raise ModelError("the ising preset fixes a=1, gamma=1")
         Ac, Bc = _xy_couplings(1.0, 1.0)
         return ModelSpec("ising", 1, Ac, Bc, 1.0, 1.0)
     if kind == "xx":
         av = _require_param("a", a)
-        if gamma is not None and float(gamma) != 0.0:
-            raise ModelError("the xx preset fixes gamma=0")
         Ac, Bc = _xy_couplings(av, 0.0)
         return ModelSpec("xx", 1, Ac, Bc, av, 0.0)
     if kind == "xy":

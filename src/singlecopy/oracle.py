@@ -211,8 +211,8 @@ def compare_oracle(model: ModelSpec, n: int, L: int,
                    method_pair: str = "gaussian-vs-ed") -> OracleComparison:
     """Run two methods for the same block and report their spectral distance."""
     if method_pair == "gaussian-vs-ed":
+        evals, psi = _ed_ground(model, n)      # first: it refuses n > 12 before an SVD of size 2n
         gauss = finite_gaussian_ground(model, n, L)
-        evals, psi = _ed_ground(model, n)
         gap = float(evals[1] - evals[0])
         b = _top64(_reduced_spectrum(psi, n, L))
     elif method_pair == "gaussian-vs-thermodynamic":

@@ -27,7 +27,8 @@ import numpy as np
 import scipy.linalg
 from scipy.special import xlogy
 
-from .errors import CoefficientAccuracyError, DecompositionError, ModelError
+from .errors import (CoefficientAccuracyError, DecompositionError, InvalidSpectrumError,
+                     ModelError)
 from .model import (TWO_PI, ModelSpec, SymbolProfile, _laurent, classify_criticality,
                     dispersion, symbol_eval)
 
@@ -270,14 +271,19 @@ class BlockSpectrum:
 
 
 def spectrum_from_singular_values(values) -> BlockSpectrum:
-    """Aggregate raw singular values into a :class:`BlockSpectrum`."""
+    """Aggregate raw singular values into a :class:`BlockSpectrum`.
+
+    Values past 1 by rounding are clipped; an overshoot above 1e-8 breaks
+    ``|T| <= 1`` and raises :class:`InvalidSpectrumError`, a numerical
+    failure, since the values are computed.
+    """
     mu = np.sort(np.asarray(values, dtype=float))[::-1].copy()
     if mu.size == 0:
         raise ModelError("empty singular value array")
     overshoot = float(mu[0]) - 1.0
     if overshoot > 1e-8:
-        raise ModelError(
-            f"model violates |T| <= 1: singular value overshoot {overshoot:.3e}"
+        raise InvalidSpectrumError(
+            f"block violates |T| <= 1: singular value overshoot {overshoot:.3e}"
         )
     mu = np.clip(mu, 0.0, 1.0)
     ln_alpha1 = float(np.sum(np.log1p((mu - 1.0) / 2.0)))

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import spence
 
-from singlecopy.errors import ModelError
+from singlecopy.errors import ModelError, ToolkitError
 from singlecopy.model import build_model
 from singlecopy.toeplitz import spectrum_from_singular_values
 from singlecopy.asymptotics import (
@@ -88,14 +88,6 @@ def test_fit_recovers_exact_affine_data():
     assert fit.slope == pytest.approx(0.5, abs=1e-12)
     assert fit.intercept == pytest.approx(1.0, abs=1e-12)
     assert fit.rms_residual < 1e-12
-
-
-def test_fit_two_term():
-    grid = (4, 8, 16, 32, 64)
-    series = make_series(grid, [0.25 * math.log2(L) + 0.5 for L in grid])
-    fit = fit_log(series, "e1_cont_bits", two_term=True)
-    assert fit.two_term is not None
-    assert fit.two_term.a == pytest.approx(0.25, abs=1e-8)
 
 
 def test_fit_window_and_errors():
@@ -193,6 +185,16 @@ def test_gapped_winding_symbol_has_one_collapsing_singular_value():
 def test_fh_requires_enough_points():
     with pytest.raises(ModelError):
         fit_log(scan(XX2, (8, 16)), "ln_absdet_T")
+
+
+def test_fit_with_too_few_usable_rows_is_a_numerical_failure():
+    # the window holds 4 rows, but only 2 have finite values: the failure
+    # comes from computed values, not from the input
+    grid = (4, 8, 16, 32)
+    series = make_series(grid, [1.0, -math.inf, math.nan, 2.0], "ln_absdet_T")
+    with pytest.raises(ToolkitError, match="only 2 of the window's 4 rows") as info:
+        fit_log(series, "ln_absdet_T")
+    assert not isinstance(info.value, ModelError)
 
 
 # --- the closed integral -----------------------------------------------------

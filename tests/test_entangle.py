@@ -268,12 +268,13 @@ def test_report_rejects_block_past_max_length():
         report(XX2, 4097)
 
 
-def test_report_skips_sectors_for_anisotropic():
-    rep = report(build_model("ising"), 6, with_sectors=True)
-    assert rep.sectors is None
+def test_report_refuses_sectors_for_anisotropic():
+    with pytest.raises(ModelError, match="isotropic"):
+        report(build_model("ising"), 6, with_sectors=True)
+    assert report(build_model("ising"), 6).sectors is None
 
 
 @pytest.mark.parametrize("dims", [0, 1025])
 def test_report_rejects_out_of_range_ep_dims(dims):
-    with pytest.raises(InvalidSpectrumError):
+    with pytest.raises(ModelError, match=r"Ep_dims must be in \[1, 1024\]"):
         report(XX2, 12, with_Ep=True, Ep_dims=dims)

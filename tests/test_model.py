@@ -55,7 +55,11 @@ def test_build_model_rejects_bad_input():
     ("xy", dict(a=2, gamma=0.5, A=(1, 2), B=(0.1,)), "A or B"),
     ("custom", dict(A=(1,), gamma=0.5), "gamma"),
     ("custom", dict(A=(1, 2), a=1), "a"),
-], ids=["xx-A", "ising-B", "xy-A-B", "custom-gamma", "custom-a"])
+    ("ising", dict(a=1), "a"),
+    ("ising", dict(a=1, gamma=1), "a or gamma"),
+    ("xx", dict(a=2, gamma=0), "gamma"),
+], ids=["xx-A", "ising-B", "xy-A-B", "custom-gamma", "custom-a", "ising-a", "ising-a-gamma",
+        "xx-gamma"])
 def test_build_model_refuses_parameters_the_kind_does_not_read(kind, kwargs, unread):
     with pytest.raises(ModelError, match=f"the {kind} model does not read {unread}$"):
         build_model(kind, **kwargs)

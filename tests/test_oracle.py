@@ -212,3 +212,13 @@ def test_input_validation():
         exact_diag_ground(XX2, 13, 2)
     with pytest.raises(ModelError):
         compare_oracle(XX2, 10, 5, "nonsense")
+
+
+def test_ed_past_12_sites_is_refused_before_the_gaussian_route(monkeypatch):
+    # n = 4000 would first take an SVD of a 8000 x 8000 quadratic form
+    def computed(*args, **kwargs):
+        raise AssertionError("the Gaussian route ran before the ED size check")
+
+    monkeypatch.setattr(oracle, "finite_gaussian_ground", computed)
+    with pytest.raises(ModelError, match="n <= 12"):
+        compare_oracle(XX2, 4000, 4)

@@ -11,7 +11,7 @@ import scipy.integrate
 from numpy.polynomial import chebyshev, polynomial
 
 from singlecopy import model as model_module, toeplitz
-from singlecopy.errors import CoefficientAccuracyError, ModelError
+from singlecopy.errors import CoefficientAccuracyError, InvalidSpectrumError, ModelError
 from singlecopy.model import TWO_PI, build_model, classify_criticality, symbol_eval
 from singlecopy.toeplitz import (
     block_spectrum,
@@ -431,7 +431,7 @@ def test_block_spectrum_zero_matrix():
 def test_block_spectrum_rejects_bad_input():
     with pytest.raises(ModelError):
         block_spectrum(np.full((2, 2), math.nan))
-    with pytest.raises(ModelError):
+    with pytest.raises(InvalidSpectrumError):
         block_spectrum(2.0 * np.eye(3))  # mu = 2 violates |T| <= 1
     with pytest.raises(ModelError):
         block_spectrum(np.zeros((2, 3)))

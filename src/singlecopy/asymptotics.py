@@ -51,6 +51,8 @@ class ScanRow:
 
 #: Per-L quantities of a scan row, in schema order (JSON keys, CSV columns).
 SCAN_FIELDS = tuple(f.name for f in fields(ScanRow) if f.name not in ("L", "error"))
+#: Fewest rows in the window of a fit.
+FIT_MIN_ROWS = 3
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,12 @@ def scan(model: ModelSpec, grid, progress=None) -> ScanSeries:
     return ScanSeries(model=model, grid=grid, rows=tuple(job(L) for L in grid))
 
 
+def require_fit_rows(n_rows: int) -> None:
+    """Refuse (``ModelError``) a fit window of fewer than ``FIT_MIN_ROWS`` rows."""
+    if n_rows < FIT_MIN_ROWS:
+        raise ModelError(f"need at least {FIT_MIN_ROWS} grid points in the window to fit")
+
+
 @dataclass(frozen=True)
 class ScalingFit:
     """Least-squares fit of one scan quantity against log2(L).
@@ -139,16 +147,15 @@ def fit_log(series: ScanSeries, quantity: str, window=None) -> ScalingFit:
 
     For ``ln_absdet_T`` the fit carries the jump-exponent prediction of the
     symbol profile, ``predicted_slope = -ln 2 * sum_j beta_j^2``, in the same
-    units as ``slope``.  A window of fewer than 3 rows is refused
-    (``ModelError``); fewer than 3 usable rows after failed or non-finite
-    ones is a numerical failure (``ToolkitError``).
+    units as ``slope``.  A window of fewer than ``FIT_MIN_ROWS`` rows is
+    refused (:func:`require_fit_rows`, which a caller runs on its grid before
+    scanning); fewer usable rows is a numerical failure (``ToolkitError``).
     """
     pts, skipped = _series_points(series, quantity, window)
-    if len(pts) + skipped < 3:
-        raise ModelError("need at least 3 grid points in the window to fit")
-    if len(pts) < 3:
-        raise ToolkitError(f"only {len(pts)} of the window's {len(pts) + skipped} rows "
-                           "are usable (the others failed or are not finite); the fit needs 3")
+    require_fit_rows(len(pts) + skipped)
+    if len(pts) < FIT_MIN_ROWS:
+        raise ToolkitError(f"only {len(pts)} of the window's {len(pts) + skipped} rows are usable "
+                           f"(the others failed or are not finite); the fit needs {FIT_MIN_ROWS}")
     Ls = np.array([p[0] for p in pts], dtype=float)
     y = np.array([p[1] for p in pts])
     x = np.log2(Ls)

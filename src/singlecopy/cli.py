@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import __version__
-from .asymptotics import SCAN_FIELDS, fit_log, geometric_grid, scan
+from .asymptotics import SCAN_FIELDS, fit_log, geometric_grid, require_fit_rows, scan
 from .entangle import report
 from .errors import ModelError, ToolkitError
 from .model import build_model
@@ -92,9 +92,11 @@ def _model_from_args(args):
     return build_model(args.model, a=args.a, gamma=args.gamma, A=args.A, B=args.B)
 
 
-def _scan_from_args(args):
+def _scan_from_args(args, fit=False):
     model = _model_from_args(args)
     grid = geometric_grid(args.L_min, args.L_max, args.per_octave)
+    if fit:
+        require_fit_rows(len(grid))     # before the scan, which a refused fit would waste
     return scan(model, grid, progress=lambda msg: print(msg, file=sys.stderr))
 
 
@@ -122,7 +124,7 @@ def _cmd_scan(args):
 
 
 def _cmd_fit(args):
-    emit(fit_log(_scan_from_args(args), args.quantity), args.out)
+    emit(fit_log(_scan_from_args(args, fit=True), args.quantity), args.out)
     return EXIT_OK
 
 

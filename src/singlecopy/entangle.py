@@ -157,7 +157,7 @@ def probabilistic_Ep(spectrum, M_max: int = MAX_EP_DIMS, tail_weight: float = 0.
     A_ub = np.maximum(0.0, (Ms[None, :] - ls[:, None] + 1.0) / Ms[None, :])
     c = -np.log2(Ms)
 
-    from scipy.optimize import linprog   # deferred: it adds about 0.15 s to the package import
+    from scipy.optimize import linprog   # deferred: its import takes about 0.33 s (2 vCPUs)
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=np.ones((1, cap)), b_eq=[1.0],
                   bounds=(0.0, None), method="highs")
     if not res.success:

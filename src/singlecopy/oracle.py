@@ -25,9 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .entangle import leading_eigenvalues
 from .errors import DecompositionError, DegenerateGroundStateError, ModelError
@@ -74,6 +71,7 @@ def _gaussian_block(model: ModelSpec, n: int, L: int):
     """
     if not (1 <= L <= n <= MAX_L):
         raise ModelError(f"need 1 <= L <= n <= {MAX_L}")
+    import scipy.linalg     # deferred, as every scipy import: the package imports on numpy alone
     U, s, Vt = scipy.linalg.svd(chain_quadratic_form(model, n))
     keep = s >= _ZERO_MODE_TOL
     gamma = U[:, keep] @ Vt[keep]
@@ -97,6 +95,7 @@ def _annihilators(n: int) -> list:
     Site 0 is the leftmost factor (the most significant bit), so a centered
     contiguous block is a contiguous tensor factor.
     """
+    import scipy.sparse
     string = scipy.sparse.diags([1.0, -1.0])                   # (-1)^{n_i}
     lower = scipy.sparse.csr_matrix([[0.0, 1.0], [0.0, 0.0]])  # |filled> -> |empty>
     one = scipy.sparse.identity(2)
@@ -105,7 +104,7 @@ def _annihilators(n: int) -> list:
             for j in range(n)]
 
 
-def fock_hamiltonian(model: ModelSpec, n: int) -> scipy.sparse.csr_matrix:
+def fock_hamiltonian(model: ModelSpec, n: int):
     """Sparse (CSR) 2^n x 2^n Hamiltonian in the occupation-number basis.
 
     The Jordan-Wigner operator sum ``A_0 sum_j c_j^dag c_j + sum_{j != k}
@@ -145,6 +144,8 @@ def _ed_ground(model: ModelSpec, n: int):
     ground states: an arbitrary vector of a degenerate space need not match
     the Gaussian convention.
     """
+    import scipy.linalg
+    import scipy.sparse.csgraph
     H = fock_hamiltonian(model, n)
     _, labels = scipy.sparse.csgraph.connected_components(H, directed=False)
     levels = []                             # (energy, component's Fock states, vector)

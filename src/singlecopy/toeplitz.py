@@ -13,7 +13,7 @@ The block's singular values ``mu_1 >= ... >= mu_L`` drive every entanglement
 quantity, so they are aggregated here once, in the log domain.  An isotropic
 block is symmetric and centrosymmetric, and its singular values are the
 absolute eigenvalues of two half-size symmetric blocks; any other block takes
-a dense SVD.
+a dense SVD.  All of it runs on numpy alone, with no scipy.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import xlogy
 
 from .errors import (CoefficientAccuracyError, DecompositionError, InvalidSpectrumError,
                      ModelError)
@@ -245,10 +243,9 @@ def build_T(model: ModelSpec, L: int, abs_tol: float = 1e-12,
     if L < 1:
         raise ModelError("block length L must be >= 1")
     table = _resolve_table(model, L, abs_tol, table)
-    idx = table.L - 1
-    col = table.t[idx::-1][:L]           # t_0, t_{-1}, ..., t_{-(L-1)}
-    row = table.t[idx:idx + L]           # t_0, t_1, ..., t_{L-1}
-    return scipy.linalg.toeplitz(col, row)
+    lo = table.L - L                     # t[lo:lo + 2L-1] is t_{-(L-1)} .. t_{L-1}
+    # window r is t_{r-(L-1)} .. t_{r}; reversed, row i is t_{-i} .. t_{L-1-i}
+    return np.lib.stride_tricks.sliding_window_view(table.t[lo:lo + 2 * L - 1], L)[::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -268,6 +265,11 @@ class BlockSpectrum:
     ln_absdet_T: float
     entropy_bits: float
     rms_term_bits: float
+
+
+def _xlnx(x: np.ndarray) -> np.ndarray:
+    """``x ln x`` (0 at 0) by libm's ``log`` like scipy's ``xlogy``; numpy's SIMD log can differ."""
+    return x * np.array([math.log(v) if v > 0.0 else 0.0 for v in x.tolist()])
 
 
 def spectrum_from_singular_values(values) -> BlockSpectrum:
@@ -291,9 +293,7 @@ def spectrum_from_singular_values(values) -> BlockSpectrum:
         ln_absdet = float("-inf")
     else:
         ln_absdet = float(np.sum(np.log(mu)))
-    p = (1.0 + mu) / 2.0
-    q = (1.0 - mu) / 2.0
-    entropy_bits = float(-(xlogy(p, p) + xlogy(q, q)).sum() / LN2)
+    entropy_bits = float(-(_xlnx((1.0 + mu) / 2.0) + _xlnx((1.0 - mu) / 2.0)).sum() / LN2)
     rms_term_bits = float(-0.5 * np.sum(np.log1p((mu * mu - 1.0) / 2.0)) / LN2)
     return BlockSpectrum(
         L=int(mu.size),

@@ -96,6 +96,22 @@ def test_fit_subcommand(capsys):
     assert 0.2 < payload["slope"] < 0.5
 
 
+@pytest.mark.parametrize("model", [["--model", "xx", "--a", "2"],
+                                   ["--model", "xy", "--a", "2", "--gamma", "0.5"]],
+                         ids=["xx", "xy"])
+def test_fit_refuses_a_short_grid_before_scanning(model, capsys, monkeypatch):
+    import singlecopy.cli as cli
+
+    def computed(*args, **kwargs):
+        raise AssertionError("fit scanned a grid it refuses")
+
+    monkeypatch.setattr(cli, "scan", computed)
+    code, out, err = run_cli(["fit", *model, "--L-min", "64", "--L-max", "128",
+                              "--per-octave", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "usage error: need at least 3 grid points in the window to fit\n"
+
+
 def test_oracle_subcommand(capsys):
     code, out, _ = run_cli(
         ["oracle", "--model", "xx", "--a", "2", "--n", "10", "--L", "5"], capsys

@@ -1,0 +1,67 @@
+"""The package imports, scans, fits and analyzes on numpy alone.
+
+scipy is loaded only by ``analyze --with-ep`` (the HiGHS linear program) and
+by the oracle. Each check runs in a fresh interpreter, since this test
+process has scipy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+HEAVY = ("scipy.linalg", "scipy.special", "scipy.sparse", "scipy.optimize")
+
+# Runs each argv of argv 1 (a JSON list) through ``cli.run`` and prints, per
+# call, its exit code and the heavy scipy modules loaded after it.
+PROBE = """
+import contextlib, io, json, sys
+import singlecopy
+from singlecopy.cli import run
+
+heavy = {heavy!r}
+loaded = lambda: sorted(m for m in sys.modules if m.startswith(heavy))
+print(json.dumps({{"argv": "import singlecopy", "code": 0, "loaded": loaded()}}))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    print(json.dumps({{"argv": " ".join(argv), "code": code, "loaded": loaded()}}))
+""".format(heavy=HEAVY)
+
+
+def probe(calls):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(calls)],
+                          capture_output=True, text=True, env=env, check=True)
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+MODELS = {
+    "xx": ["--model", "xx", "--a", "2"],
+    "ising": ["--model", "ising"],
+    "xy": ["--model", "xy", "--a", "2", "--gamma", "0.5"],
+}
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
+def test_import_scan_fit_analyze_load_no_scipy(model):
+    grid = ["--L-min", "8", "--L-max", "32"]
+    results = probe([["scan", *model, *grid], ["fit", *model, *grid],
+                     ["analyze", *model, "--L", "24"]])
+    assert [r["code"] for r in results] == [0, 0, 0, 0]
+    assert [r for r in results if r["loaded"]] == []
+
+
+def test_ep_and_oracle_load_scipy_when_they_run():
+    xx = MODELS["xx"]
+    results = probe([["analyze", *xx, "--L", "16", "--with-ep"],
+                     ["oracle", *xx, "--n", "6", "--L", "3"]])
+    assert [r["code"] for r in results] == [0, 0, 0]
+    assert results[0]["loaded"] == []
+    assert "scipy.optimize" in results[1]["loaded"]
+    assert {"scipy.linalg", "scipy.sparse"} <= set(results[2]["loaded"])

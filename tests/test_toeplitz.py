@@ -4,6 +4,7 @@ import math
 import os
 import random
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,45 @@ def test_build_T_structure():
 
 def test_build_T_single_entry():
     assert build_T(XX2, 1) == pytest.approx(np.array([[-1 / 3]]), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_build_T_equals_scipy_toeplitz_bit_for_bit(seed):
+    import scipy.linalg
+
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3, 7, 40):
+        # a generic table: t_l != t_{-l}, mixed scales, exact zeros and ties
+        t = rng.standard_normal(2 * n - 1) * 10.0 ** rng.integers(-300, 3, 2 * n - 1)
+        t[rng.random(t.size) < 0.2] = 0.0
+        t[rng.random(t.size) < 0.1] = -1.0
+        table = toeplitz.ToeplitzCoeffs(n, t, "quadrature")
+        for L in range(1, n + 1):
+            mid = n - 1
+            want = scipy.linalg.toeplitz(t[mid::-1][:L], t[mid:mid + L])
+            got = build_T(XX2, L, table=table)
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_entropy_equals_the_xlogy_form_bit_for_bit(seed):
+    from scipy.special import xlogy
+
+    rng = np.random.default_rng(seed)
+    # many single modes, where one last-bit change of a log can reach the sum
+    for size in [1] * 500 + [2, 5, 64, 1000]:
+        mu = rng.random(size)
+        mu[rng.random(size) < 0.2] = 1.0          # q = 0: 0 ln 0 must give 0
+        mu[rng.random(size) < 0.2] = 0.0
+        mu[rng.random(size) < 0.1] = np.nextafter(1.0, 0.0)  # q at the rounding floor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectrum_from_singular_values(mu)
+        p, q = (1.0 + got.mu) / 2.0, (1.0 - got.mu) / 2.0
+        want = max(float(-(xlogy(p, p) + xlogy(q, q)).sum() / math.log(2.0)), 0.0) + 0.0
+        assert got.entropy_bits == want
+    assert spectrum_from_singular_values(np.ones(3)).entropy_bits == 0.0
 
 
 def test_gamma_is_exactly_skew():

@@ -12,8 +12,9 @@ themselves.
 The block's singular values ``mu_1 >= ... >= mu_L`` drive every entanglement
 quantity, so they are aggregated here once, in the log domain.  An isotropic
 block is symmetric and centrosymmetric, and its singular values are the
-absolute eigenvalues of two half-size symmetric blocks; any other block takes
-a dense SVD.  All of it runs on numpy alone, with no scipy.
+absolute eigenvalues of two half-size symmetric blocks; any other Toeplitz
+block's are those of the symmetric Hankel matrix ``TJ``, and its ln|det T|
+is LU's.  All of it runs on numpy alone, with no scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -253,7 +254,8 @@ class BlockSpectrum:
     """Singular values of one block plus log-domain aggregates.
 
     ``ln_alpha1``  : sum of ln((1+mu)/2); log of the top reduced eigenvalue.
-    ``ln_absdet_T``: sum of ln(mu); -inf once any mu underflows below 1e-300.
+    ``ln_absdet_T``: ln|det T|; for a symmetric block the sum of ln(mu), -inf once
+    any mu underflows below 1e-300, else LU's ``slogdet``, -inf at a zero pivot.
     ``entropy_bits``: binary-entropy sum H2((1+mu)/2), the block entropy.
     ``rms_term_bits``: -(1/2) sum log2((1+mu^2)/2), the quadratic-mean term
     sitting between ``-ln alpha1`` and ``-(1/2) ln|det T|``.
@@ -306,23 +308,28 @@ def spectrum_from_singular_values(values) -> BlockSpectrum:
 
 
 def block_spectrum(T) -> BlockSpectrum:
-    """Singular values of a block with log-domain aggregates.
+    """Singular values of a block with log-domain aggregates, from ``eigvalsh``.
 
-    A block that is exactly symmetric and centrosymmetric (``JTJ = T`` with
-    ``J`` the exchange matrix), as every isotropic block is, splits into the
-    half-size symmetric blocks ``T11 +- T12 J``, where ``T11`` and ``T12``
-    are its top-left and top-right ``L // 2`` square quarters; for odd L the
-    ``+`` block is bordered by ``sqrt(2)`` times the middle column and the
-    centre entry.  Their absolute eigenvalues are the singular values.  Any
-    other block takes a dense SVD.
+    A block that is symmetric and centrosymmetric (``JTJ = T`` with ``J`` the
+    exchange matrix), as every isotropic block is, splits into the half-size
+    symmetric blocks ``T11 +- T12 J``, where ``T11`` and ``T12`` are its top-left
+    and top-right ``L // 2`` square quarters; for odd L the ``+`` block is bordered
+    by ``sqrt(2)`` times the middle column and the centre entry.  Their absolute
+    eigenvalues are the singular values, as are those of any other symmetric block,
+    and of the Hankel matrix ``TJ`` of a persymmetric one (``JTJ = T^T``: every
+    Toeplitz block), whose ln|det T| comes from LU; others raise :class:`ModelError`.
     """
     A = np.asarray(T, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ModelError("block must be a square matrix")
     if not np.all(np.isfinite(A)):
         raise ModelError("block entries must be finite")
+    # row 0 against column 0 settles most non-symmetric blocks in O(L)
+    S = A if np.array_equal(A[0], A[:, 0]) and np.array_equal(A, A.T) else A[:, ::-1]
+    if S is not A and not np.array_equal(S, S.T):
+        raise ModelError("block must be symmetric or persymmetric (J T J = T^T)")
     try:
-        if np.array_equal(A, A.T) and np.array_equal(A, A[::-1, ::-1]):
+        if S is A and np.array_equal(A, A[::-1, ::-1]):
             L, m = A.shape[0], A.shape[0] // 2
             head, cj = A[:m, :m], A[:m, L - m:][:, ::-1]
             # the middle row and column A[m:L-m] are empty for even L
@@ -330,7 +337,10 @@ def block_spectrum(T) -> BlockSpectrum:
                              [math.sqrt(2.0) * A[m:L - m, :m], A[m:L - m, m:L - m]]])
             sv = np.abs(np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(head - cj)]))
         else:
-            sv = np.linalg.svd(A, compute_uv=False)
+            sv = np.abs(np.linalg.eigvalsh(S))
+        # a winding symbol's smallest mu lies below eigvalsh's absolute eps, not LU's
+        ln_absdet = None if S is A else float(np.linalg.slogdet(A)[1])
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"decomposition failure: {exc}") from exc
-    return spectrum_from_singular_values(sv)
+    spec = spectrum_from_singular_values(sv)
+    return spec if ln_absdet is None else replace(spec, ln_absdet_T=ln_absdet)

@@ -322,6 +322,23 @@ def test_isotropic_spectrum_matches_svd(table, L):
     assert np.abs(block_spectrum(T).mu - svd).max() <= 1e-13
 
 
+# Anisotropic blocks take eigvalsh of the Hankel matrix TJ and the LU
+# determinant; the SVD and slogdet are the references.  A table whose
+# coefficients are refused is skipped.
+@settings(max_examples=25, deadline=None)
+@given(anisotropic_tables(), st.integers(1, 64))
+def test_anisotropic_spectrum_matches_svd(table, L):
+    try:
+        T = build_T(table[0], L)
+    except CoefficientAccuracyError:
+        assume(False)
+    spec = block_spectrum(T)
+    svd = np.sort(np.linalg.svd(T, compute_uv=False))[::-1]
+    assert np.abs(spec.mu - svd).max() <= 1e-13
+    if not np.array_equal(T, T.T):
+        assert spec.ln_absdet_T == np.linalg.slogdet(T)[1]
+
+
 # Open chains of up to 9 sites cut the couplings at both edges, so their
 # normal modes include edge and (for critical tables) near-zero modes.  The
 # lowest normal-mode energy is the many-body gap; a zero mode makes both

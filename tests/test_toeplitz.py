@@ -312,7 +312,7 @@ def test_ising_entropy_is_half_the_xx_entropy_at_twice_the_length(L):
     xx = build_model("custom", A=(0, 1))
     s_ising = block_spectrum(build_T(ISING, L)).entropy_bits
     s_xx = block_spectrum(build_T(xx, 2 * L)).entropy_bits
-    assert s_ising == pytest.approx(s_xx / 2, abs=1e-9)
+    assert s_ising == pytest.approx(s_xx / 2, abs=2e-11)
 
 
 def test_near_coincident_fermi_points_closed_form():
@@ -532,9 +532,22 @@ def test_isotropic_spectrum_matches_svd(name):
 @pytest.mark.parametrize("model", [ISING, XY], ids=["ising", "xy"])
 @pytest.mark.parametrize("L", [1, 2, 3, 64, 65])
 def test_anisotropic_blocks_keep_the_svd(model, L):
-    # bit for bit, after the clip of rounding overshoot past 1
+    # the SVD stays the reference for mu of the Hankel path eigvalsh(TJ), and
+    # the determinant is LU's bit for bit
     T = build_T(model, L)
-    assert np.array_equal(block_spectrum(T).mu, np.clip(_svd_mu(T), 0.0, 1.0))
+    spec = block_spectrum(T)
+    assert np.abs(spec.mu - _svd_mu(T)).max() <= 1e-13
+    assert spec.ln_absdet_T == np.linalg.slogdet(T)[1]
+
+
+def test_winding_chain_determinant_matches_the_svd_log_sum():
+    # the smallest mu lies below eigvalsh's absolute resolution from L=64 on
+    # (7.3e-17 by SVD and LU at L=64), and the LU determinant still carries it
+    tab = coefficient_table(WINDING, 512)
+    for L in (64, 128, 256, 512):
+        T = build_T(WINDING, L, table=tab)
+        svd_det = np.log(_svd_mu(T)).sum()
+        assert block_spectrum(T).ln_absdet_T == pytest.approx(svd_det, rel=1e-10)
 
 
 def test_symmetry_guards_route_correctly():
@@ -542,8 +555,12 @@ def test_symmetry_guards_route_correctly():
     for n in (8, 9):
         X = rng.standard_normal((n, n))
         symmetric = X + X.T                      # not centrosymmetric
-        centro = X + X[::-1, ::-1]               # not symmetric
+        centro = X + X[::-1, ::-1]               # neither symmetric nor persymmetric
         both = symmetric + symmetric[::-1, ::-1]  # not Toeplitz
-        for M in (symmetric, centro, both):
+        idx = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
+        toeplitz_block = rng.standard_normal(2 * n - 1)[idx]    # not symmetric
+        for M in (symmetric, both, toeplitz_block):
             M = M / (1.01 * np.linalg.norm(M, 2))
             assert np.abs(block_spectrum(M).mu - _svd_mu(M)).max() <= 1e-13
+        with pytest.raises(ModelError, match="persymmetric"):
+            block_spectrum(centro / (1.01 * np.linalg.norm(centro, 2)))

@@ -10,24 +10,24 @@ Both read the zeros and the step-phase certificate from the symbol profile
 of :func:`~singlecopy.model.classify_criticality` and find no roots
 themselves.
 The block's singular values ``mu_1 >= ... >= mu_L`` drive every entanglement
-quantity, so they are aggregated here once, in the log domain.  An isotropic
-block is symmetric and centrosymmetric, and its singular values are the
-absolute eigenvalues of two half-size symmetric blocks; any other Toeplitz
-block's are those of the symmetric Hankel matrix ``TJ``, and its ln|det T|
-is LU's.  All of it runs on numpy alone, with no scipy.
+quantity, so they are aggregated here once, in the log domain.  Only Toeplitz
+blocks are taken.  A symmetric one (every isotropic block) is centrosymmetric
+too, and its singular values are the absolute eigenvalues of two half-size
+symmetric blocks; any other's are those of the symmetric Hankel matrix ``TJ``,
+and its ln|det T| is LU's.  All of it runs on numpy alone, with no scipy.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
 from .errors import (CoefficientAccuracyError, DecompositionError, InvalidSpectrumError,
-                     ModelError)
+                     ModelError, SymbolSingularError)
 from .model import (TWO_PI, ModelSpec, SymbolProfile, _laurent, classify_criticality,
                     dispersion, symbol_eval)
 
@@ -37,7 +37,6 @@ LN2 = math.log(2.0)
 #: largest chain of the finite Gaussian oracle.
 MAX_L = 4096
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 _NODE_BUDGET = 1 << 16    # max symbol evaluations per coefficient
 _OSC_PER_PANEL = 6.0      # oscillations of exp(-ilk) served by one 64-node panel
 _EPS = np.finfo(float).eps
@@ -111,14 +110,24 @@ def _closed_form(model: ModelSpec, profile: SymbolProfile, L: int) -> np.ndarray
     return np.concatenate([t_minus[:0:-1], t_plus])
 
 
+@cache
+def _gauss_legendre():     # made on first use: numpy.polynomial takes long to import
+    return np.polynomial.legendre.leggauss(64)
+
+
 def _panel_set(model, lo, hi, n_panels):
     """Nodes k and weighted symbol w*g(k) of composite 64-node Gauss-Legendre panels."""
+    x, w = _gauss_legendre()
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    k = (mid + half * _GL_X[None, :]).ravel()
-    wts = (half * _GL_W[None, :]).ravel()
-    g = symbol_eval(model, k)
+    k = (mid + half * x[None, :]).ravel()
+    wts = (half * w[None, :]).ravel()
+    try:
+        g = symbol_eval(model, k)
+    except SymbolSingularError as exc:     # lam rounds to 0 next to a zero of high order
+        raise CoefficientAccuracyError(f"coefficient accuracy: quadrature node k={exc.k!r} "
+                                       "lies on a zero of the symbol", achieved=math.inf) from exc
     return k, wts * g
 
 
@@ -135,9 +144,7 @@ def _fourier_pair(model, l, abs_tol, cuts, panels=None):
     pts = sorted(cuts) or [0.0]
     intervals = list(zip(pts, pts[1:] + [pts[0] + TWO_PI]))
 
-    used = 0
-    total_plus = 0.0 + 0.0j
-    total_minus = 0.0 + 0.0j
+    used, total_plus, total_minus = 0, 0j, 0j
     for lo, hi in intervals:
         width = hi - lo
         tol_i = 0.5 * abs_tol * TWO_PI / len(intervals)   # equal share of 2*pi*abs_tol
@@ -165,13 +172,11 @@ def _fourier_pair(model, l, abs_tol, cuts, panels=None):
         total_plus += ip
         total_minus += im
 
-    t_plus = total_plus / TWO_PI
-    t_minus = total_minus / TWO_PI
+    t_plus, t_minus = total_plus / TWO_PI, total_minus / TWO_PI
     residue = max(abs(t_plus.imag), abs(t_minus.imag))
     if residue > abs_tol:
         raise CoefficientAccuracyError(
-            f"coefficient accuracy: t_{l} kept an imaginary residue", achieved=residue
-        )
+            f"coefficient accuracy: t_{l} kept an imaginary residue", achieved=residue)
     return float(t_plus.real), float(t_minus.real)
 
 
@@ -209,6 +214,7 @@ def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
         method = "closed_form"
     else:
         cuts = sorted(set(profile.fermi_points) | set(profile.marginal_points))
+        from concurrent.futures import ThreadPoolExecutor   # deferred: it loads logging
         w = len(os.sched_getaffinity(0))
         # work per l grows like l, so ranges of equal work end at L sqrt(i/w)
         ends = [math.ceil(L * math.sqrt(i / w)) for i in range(w + 1)]
@@ -222,28 +228,22 @@ def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
     overshoot = float(np.abs(t).max()) - 1.0
     if overshoot > 1e-12:
         raise CoefficientAccuracyError(
-            "coefficient accuracy: |t_l| exceeds 1", achieved=overshoot
-        )
+            "coefficient accuracy: |t_l| exceeds 1", achieved=overshoot)
     return ToeplitzCoeffs(L, t, method)
-
-
-def _resolve_table(model, L, abs_tol, table):
-    if table is None:
-        return coefficient_table(model, L, abs_tol)
-    if table.L < L:
-        raise ModelError(f"coefficient table covers L={table.L} < requested {L}")
-    return table
 
 
 def build_T(model: ModelSpec, L: int, abs_tol: float = 1e-12,
             table: ToeplitzCoeffs | None = None) -> np.ndarray:
-    """The L x L Toeplitz block ``T[i, j] = t_{j-i}``.
+    """The L x L Toeplitz block ``T[i, j] = t_{j-i}``, the input of :func:`block_spectrum`.
 
     Symmetric exactly when the model is isotropic.
     """
     if L < 1:
         raise ModelError("block length L must be >= 1")
-    table = _resolve_table(model, L, abs_tol, table)
+    if table is None:
+        table = coefficient_table(model, L, abs_tol)
+    elif table.L < L:
+        raise ModelError(f"coefficient table covers L={table.L} < requested {L}")
     lo = table.L - L                     # t[lo:lo + 2L-1] is t_{-(L-1)} .. t_{L-1}
     # window r is t_{r-(L-1)} .. t_{r}; reversed, row i is t_{-i} .. t_{L-1-i}
     return np.lib.stride_tricks.sliding_window_view(table.t[lo:lo + 2 * L - 1], L)[::-1].copy()
@@ -308,28 +308,28 @@ def spectrum_from_singular_values(values) -> BlockSpectrum:
 
 
 def block_spectrum(T) -> BlockSpectrum:
-    """Singular values of a block with log-domain aggregates, from ``eigvalsh``.
+    """Singular values of a Toeplitz block with log-domain aggregates, from ``eigvalsh``.
 
-    A block that is symmetric and centrosymmetric (``JTJ = T`` with ``J`` the
-    exchange matrix), as every isotropic block is, splits into the half-size
-    symmetric blocks ``T11 +- T12 J``, where ``T11`` and ``T12`` are its top-left
-    and top-right ``L // 2`` square quarters; for odd L the ``+`` block is bordered
-    by ``sqrt(2)`` times the middle column and the centre entry.  Their absolute
-    eigenvalues are the singular values, as are those of any other symmetric block,
-    and of the Hankel matrix ``TJ`` of a persymmetric one (``JTJ = T^T``: every
-    Toeplitz block), whose ln|det T| comes from LU; others raise :class:`ModelError`.
+    Any matrix but a finite Toeplitz block ``T[i, j] = t_{j-i}`` raises
+    :class:`ModelError`.  A symmetric block (row 0 equal to column 0, as in every
+    isotropic block) is also centrosymmetric (``JTJ = T``, ``J`` the exchange
+    matrix) and splits into the half-size symmetric blocks ``T11 +- T12 J``,
+    where ``T11`` and ``T12`` are its top-left and top-right ``L // 2`` square
+    quarters; for odd L the ``+`` block is bordered by ``sqrt(2)`` times the
+    middle column and the centre entry.  Their absolute eigenvalues are the
+    singular values, as are those of the symmetric Hankel matrix ``TJ`` of any
+    other block, whose ln|det T| comes from LU.
     """
     A = np.asarray(T, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ModelError("block must be a square matrix")
-    if not np.all(np.isfinite(A)):
-        raise ModelError("block entries must be finite")
-    # row 0 against column 0 settles most non-symmetric blocks in O(L)
-    S = A if np.array_equal(A[0], A[:, 0]) and np.array_equal(A, A.T) else A[:, ::-1]
-    if S is not A and not np.array_equal(S, S.T):
-        raise ModelError("block must be symmetric or persymmetric (J T J = T^T)")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ModelError("block must be a non-empty square matrix")
+    # entries repeat row 0 and column 0 down the diagonals, so those carry finiteness
+    if not (np.isfinite(A[0]).all() and np.isfinite(A[:, 0]).all()
+            and np.array_equal(A[1:, 1:], A[:-1, :-1])):
+        raise ModelError("block must be Toeplitz (T[i, j] = t_{j-i}) with finite entries")
+    symmetric = np.array_equal(A[0], A[:, 0])
     try:
-        if S is A and np.array_equal(A, A[::-1, ::-1]):
+        if symmetric:
             L, m = A.shape[0], A.shape[0] // 2
             head, cj = A[:m, :m], A[:m, L - m:][:, ::-1]
             # the middle row and column A[m:L-m] are empty for even L
@@ -337,9 +337,9 @@ def block_spectrum(T) -> BlockSpectrum:
                              [math.sqrt(2.0) * A[m:L - m, :m], A[m:L - m, m:L - m]]])
             sv = np.abs(np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(head - cj)]))
         else:
-            sv = np.abs(np.linalg.eigvalsh(S))
+            sv = np.abs(np.linalg.eigvalsh(A[:, ::-1]))
         # a winding symbol's smallest mu lies below eigvalsh's absolute eps, not LU's
-        ln_absdet = None if S is A else float(np.linalg.slogdet(A)[1])
+        ln_absdet = None if symmetric else float(np.linalg.slogdet(A)[1])
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"decomposition failure: {exc}") from exc
     spec = spectrum_from_singular_values(sv)

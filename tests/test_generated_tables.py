@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.polynomial import chebyshev, polynomial
 
 from singlecopy.errors import CoefficientAccuracyError, DegenerateGroundStateError
@@ -327,6 +327,9 @@ def test_isotropic_spectrum_matches_svd(table, L):
 # coefficients are refused is skipped.
 @settings(max_examples=25, deadline=None)
 @given(anisotropic_tables(), st.integers(1, 64))
+# z^3 lam = (z-1)^4 (z-1/2): a quadrature node next to the 4-fold zero where lam rounds to 0
+@example((build_model("custom", A=(8, -5.75, 2, -0.25), B=(-0.625, 0.5, -0.125)), [0.0, 0.0], []),
+         1)
 def test_anisotropic_spectrum_matches_svd(table, L):
     try:
         T = build_T(table[0], L)

@@ -1,8 +1,9 @@
 """The package imports, scans, fits and analyzes on numpy alone.
 
 scipy is loaded only by ``analyze --with-ep`` (the HiGHS linear program) and
-by the oracle. Each check runs in a fresh interpreter, since this test
-process has scipy loaded already.
+by the oracle, and the coefficient quadrature's thread pool and Gauss-Legendre
+rule only by a table that takes quadrature. Each check runs in a fresh
+interpreter, since this test process has scipy loaded already.
 """
 
 import json
@@ -15,28 +16,30 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 HEAVY = ("scipy.linalg", "scipy.special", "scipy.sparse", "scipy.optimize")
+QUADRATURE = ("concurrent.futures", "numpy.polynomial")
 
 # Runs each argv of argv 1 (a JSON list) through ``cli.run`` and prints, per
-# call, its exit code and the heavy scipy modules loaded after it.
+# call, its exit code and the modules of argv 2 (a JSON list of prefixes)
+# loaded after it.
 PROBE = """
 import contextlib, io, json, sys
 import singlecopy
 from singlecopy.cli import run
 
-heavy = {heavy!r}
-loaded = lambda: sorted(m for m in sys.modules if m.startswith(heavy))
-print(json.dumps({{"argv": "import singlecopy", "code": 0, "loaded": loaded()}}))
+watched = tuple(json.loads(sys.argv[2]))
+loaded = lambda: sorted(m for m in sys.modules if m.startswith(watched))
+print(json.dumps({"argv": "import singlecopy", "code": 0, "loaded": loaded()}))
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
-    print(json.dumps({{"argv": " ".join(argv), "code": code, "loaded": loaded()}}))
-""".format(heavy=HEAVY)
+    print(json.dumps({"argv": " ".join(argv), "code": code, "loaded": loaded()}))
+"""
 
 
-def probe(calls):
+def probe(calls, modules=HEAVY):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(calls)],
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(calls), json.dumps(modules)],
                           capture_output=True, text=True, env=env, check=True)
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
@@ -65,3 +68,16 @@ def test_ep_and_oracle_load_scipy_when_they_run():
     assert results[0]["loaded"] == []
     assert "scipy.optimize" in results[1]["loaded"]
     assert {"scipy.linalg", "scipy.sparse"} <= set(results[2]["loaded"])
+
+
+# The quadrature's imports are deferred to the first table that takes it, so
+# that import and every closed-form scan (xx, ising) pay none of their cost.
+@pytest.mark.parametrize("model", [MODELS["xx"], MODELS["ising"]], ids=["xx", "ising"])
+def test_closed_form_paths_load_no_quadrature_modules(model):
+    grid = ["--L-min", "8", "--L-max", "32"]
+    results = probe([["scan", *model, *grid], ["fit", *model, *grid],
+                     ["analyze", *model, "--L", "24"]], QUADRATURE)
+    assert [r["code"] for r in results] == [0, 0, 0, 0]
+    assert [r for r in results if r["loaded"]] == []
+    quadrature = probe([["analyze", *MODELS["xy"], "--L", "24"]], QUADRATURE)
+    assert set(quadrature[1]["loaded"]) >= set(QUADRATURE)

@@ -475,6 +475,8 @@ def test_block_spectrum_rejects_bad_input():
         block_spectrum(2.0 * np.eye(3))  # mu = 2 violates |T| <= 1
     with pytest.raises(ModelError):
         block_spectrum(np.zeros((2, 3)))
+    with pytest.raises(ModelError):
+        block_spectrum(np.zeros((0, 0)))
 
 
 def test_spectrum_clamps_rounding_overshoot():
@@ -557,10 +559,27 @@ def test_symmetry_guards_route_correctly():
         symmetric = X + X.T                      # not centrosymmetric
         centro = X + X[::-1, ::-1]               # neither symmetric nor persymmetric
         both = symmetric + symmetric[::-1, ::-1]  # not Toeplitz
+        for M in (symmetric, both, centro):
+            with pytest.raises(ModelError, match="Toeplitz"):
+                block_spectrum(M / (1.01 * np.linalg.norm(M, 2)))
         idx = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
-        toeplitz_block = rng.standard_normal(2 * n - 1)[idx]    # not symmetric
-        for M in (symmetric, both, toeplitz_block):
+        toeplitz_block = rng.standard_normal(2 * n - 1)[idx]    # not symmetric: Hankel route
+        t = rng.standard_normal(n)
+        symmetric_toeplitz = t[np.abs(idx - n + 1)]   # half-size split, bordered for odd n
+        for M in (toeplitz_block, symmetric_toeplitz):
             M = M / (1.01 * np.linalg.norm(M, 2))
             assert np.abs(block_spectrum(M).mu - _svd_mu(M)).max() <= 1e-13
-        with pytest.raises(ModelError, match="persymmetric"):
-            block_spectrum(centro / (1.01 * np.linalg.norm(centro, 2)))
+        off_edge = symmetric_toeplitz / (1.01 * np.linalg.norm(symmetric_toeplitz, 2))
+        off_edge[n // 2, n // 2] = math.nan      # off row 0 and column 0
+        with pytest.raises(ModelError, match="Toeplitz"):
+            block_spectrum(off_edge)
+
+
+def test_fourfold_zero_is_refused_as_a_coefficient_accuracy_error():
+    # z^3 lam = (z-1)^4 (z-r): next to the 4-fold zero at k=0, a quadrature node can land
+    # where lam rounds to exactly 0 (r = 0.5, 2, 3 here), or the zero exhausts the
+    # node budget (r = 0.25, 4); either way the table is refused with one error type
+    for r in (0.25, 0.5, 2.0, 3.0, 4.0):
+        model = _model_from_laurent(np.r_[polynomial.polyfromroots([1, 1, 1, 1, r]), 0.0])
+        with pytest.raises(CoefficientAccuracyError):
+            coefficient_table(model, 1)

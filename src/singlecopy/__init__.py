@@ -27,6 +27,7 @@ from .toeplitz import (
     build_T,
     coefficient_table,
     spectrum_from_singular_values,
+    table_spectrum,
 )
 from .entangle import (
     EntanglementReport,
@@ -34,7 +35,6 @@ from .entangle import (
     SectorWeight,
     SingleCopyE1,
     leading_eigenvalues,
-    nielsen_transformable,
     probabilistic_Ep,
     report,
     sector_decompose,
@@ -47,11 +47,9 @@ from .oracle import (
     finite_gaussian_ground,
 )
 from .asymptotics import (
-    BoundChain,
     ScalingFit,
     ScanRow,
     ScanSeries,
-    bound_chain,
     fit_log,
     geometric_grid,
     saturation_test,

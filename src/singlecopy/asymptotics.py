@@ -1,8 +1,7 @@
 """Block-length scans and scaling fits.
 
 Scans share one coefficient table across their whole geometric grid, fit
-quantities against log2(L), detect saturation over the top octave, and
-report the three-term determinant bound chain.
+quantities against log2(L), and detect saturation over the top octave.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 from .entangle import single_copy_E1
 from .errors import ModelError, ToolkitError
 from .model import ModelSpec, classify_criticality
-from .toeplitz import LN2, MAX_L, BlockSpectrum, block_spectrum, build_T, coefficient_table
+from .toeplitz import LN2, MAX_L, BlockSpectrum, coefficient_table, table_spectrum
 
 
 def geometric_grid(L_min: int, L_max: int, per_octave: int = 2) -> tuple[int, ...]:
@@ -90,7 +89,7 @@ def scan(model: ModelSpec, grid, progress=None) -> ScanSeries:
 
     def job(L: int):
         try:
-            row = _row_from_spectrum(block_spectrum(build_T(model, L, table=table)))
+            row = _row_from_spectrum(table_spectrum(table, L))
         except ToolkitError as exc:
             row = ScanRow(L=L, error=str(exc))
         if progress is not None:
@@ -189,25 +188,3 @@ def saturation_test(series: ScanSeries, quantity: str, epsilon: float = 0.01) ->
         raise ModelError("top octave has missing or non-finite rows")
     ys = [p[1] for p in pts]
     return bool(max(ys) - min(ys) < epsilon)
-
-
-@dataclass(frozen=True)
-class BoundChain:
-    """The three determinant-chain quantities, in natural-log units.
-
-    Per singular value, ``(1-mu)^2 >= 0`` forces ``lhs >= mid`` and the
-    arithmetic-geometric mean inequality forces ``lhs <= rhs``; the relative
-    order of ``mid`` and ``rhs`` is data, not an identity, and is only
-    reported.
-    """
-
-    lhs: float   # -ln alpha1
-    mid: float   # -(1/2) ln prod (1+mu^2)/2
-    rhs: float   # -(1/2) ln |det T|  (may be +inf)
-
-
-def bound_chain(row: ScanRow) -> BoundChain:
-    """Evaluate the chain from one scan row (NaN throughout for a failed row)."""
-    return BoundChain(row.e1_cont_bits * LN2 + 0.0, row.rms_term_bits * LN2 + 0.0,
-                      -0.5 * row.ln_absdet_T + 0.0)
-

@@ -6,7 +6,6 @@ that spectrum (or any explicit sorted probability spectrum) into:
 
 * the deterministic single-copy yield ``E1 = log2 floor(1/alpha1)`` and its
   continuous companion ``-log2 alpha1``,
-* partial-sum (majorization) feasibility checks for target dimension M,
 * the probabilistic average yield ``Ep`` as a linear program over ensembles
   of maximally entangled targets, constrained by the tail-sum monotones
   ``E_l = sum_{j>=l} alpha_j``,
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidSpectrumError, ModelError, SolverError
 from .model import ModelSpec
-from .toeplitz import LN2, MAX_L, BlockSpectrum, block_spectrum, build_T
+from .toeplitz import LN2, MAX_L, BlockSpectrum, coefficient_table, table_spectrum
 
 #: Above this many bits the floor correction in E1 is below float resolution.
 FLOOR_BITS_LIMIT = 52.0
@@ -83,22 +82,6 @@ def single_copy_E1(ln_alpha1: float) -> SingleCopyE1:
         m += 1  # inv sits within rounding of the next integer
         e1_cont = max(e1_cont, math.log2(m))
     return SingleCopyE1(math.log2(m), e1_cont, m)
-
-
-def nielsen_transformable(spectrum, M: int) -> bool:
-    """Partial-sum criterion for deterministic conversion to an M x M target.
-
-    True iff ``sum_{k<=K} alpha_k <= K/M`` for every ``1 <= K <= M`` (the
-    spectrum is padded with zeros when shorter than M).
-    """
-    if M < 1:
-        raise InvalidSpectrumError("target dimension M must be >= 1")
-    vals = _validated(spectrum)
-    partial = np.cumsum(vals[:M])
-    if partial.size < M:
-        partial = np.concatenate([partial, np.full(M - partial.size, partial[-1])])
-    bound = np.arange(1, M + 1, dtype=float) / M
-    return bool(np.all(partial <= bound + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -175,9 +158,13 @@ def leading_eigenvalues(mu, r: int) -> np.ndarray:
     Best-first expansion over occupation flips: flipping mode ``l`` away from
     its favoured occupation divides the eigenvalue by ``(1+mu_l)/(1-mu_l)``,
     so the k-th eigenvalue is the k-th smallest subset sum of those log
-    ratios.  Never materializes the 2^L spectrum.
+    ratios.  Never materializes the 2^L spectrum.  Refuses
+    (:class:`InvalidSpectrumError`) a ``mu`` that is not finite.
     """
-    mu = np.clip(np.asarray(mu, dtype=float), 0.0, 1.0)
+    mu = np.asarray(mu, dtype=float)
+    if not np.isfinite(mu).all():
+        raise InvalidSpectrumError("mu must be finite")
+    mu = np.clip(mu, 0.0, 1.0)
     L = mu.size
     if r < 1:
         raise InvalidSpectrumError("need r >= 1 eigenvalues")
@@ -233,8 +220,8 @@ def sector_decompose(mu, convention: str = "plus") -> tuple[SectorWeight, ...]:
         nu = (1.0 - mu) / 2.0
     else:
         raise InvalidSpectrumError(f"unknown occupation convention {convention!r}")
-    if np.any(nu < -1e-12) or np.any(nu > 1.0 + 1e-12):
-        raise InvalidSpectrumError("occupation probabilities outside [0, 1]")
+    if not np.all((nu >= -1e-12) & (nu <= 1.0 + 1e-12)):    # NaN fails too
+        raise InvalidSpectrumError("occupation probabilities not finite or outside [0, 1]")
     nu = np.clip(nu, 0.0, 1.0)
 
     weights = np.zeros(L + 1)
@@ -325,6 +312,6 @@ def report(model: ModelSpec, L: int, *, with_Ep: bool = False,
     if not 1 <= L <= MAX_L:
         raise ModelError(f"block length L must be in [1, {MAX_L}]")
     _check_report_options(model, with_sectors, Ep_dims)
-    spec = block_spectrum(build_T(model, L))
+    spec = table_spectrum(coefficient_table(model, L), L)
     return report_from_spectrum(model, spec, with_Ep=with_Ep,
                                 with_sectors=with_sectors, Ep_dims=Ep_dims)

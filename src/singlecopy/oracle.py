@@ -29,7 +29,8 @@ import numpy as np
 from .entangle import leading_eigenvalues
 from .errors import DecompositionError, DegenerateGroundStateError, ModelError
 from .model import ModelSpec
-from .toeplitz import MAX_L, BlockSpectrum, block_spectrum, build_T, spectrum_from_singular_values
+from .toeplitz import (MAX_L, BlockSpectrum, coefficient_table, spectrum_from_singular_values,
+                       table_spectrum)
 
 _ZERO_MODE_TOL = 1e-10
 _ORTHO_TOL = 1e-8
@@ -218,7 +219,7 @@ def compare_oracle(model: ModelSpec, n: int, L: int,
         b = _top64(_reduced_spectrum(psi, n, L))
     elif method_pair == "gaussian-vs-thermodynamic":
         gauss, gap = _gaussian_block(model, n, L)
-        b = _top64(leading_eigenvalues(block_spectrum(build_T(model, L)).mu, _TOP))
+        b = _top64(leading_eigenvalues(table_spectrum(coefficient_table(model, L), L).mu, _TOP))
     else:
         raise ModelError(f"unknown method pair {method_pair!r}")
     a = _top64(leading_eigenvalues(gauss.mu, _TOP))

@@ -10,11 +10,13 @@ Both read the zeros and the step-phase certificate from the symbol profile
 of :func:`~singlecopy.model.classify_criticality` and find no roots
 themselves.
 The block's singular values ``mu_1 >= ... >= mu_L`` drive every entanglement
-quantity, so they are aggregated here once, in the log domain.  Only Toeplitz
-blocks are taken.  A symmetric one (every isotropic block) is centrosymmetric
-too, and its singular values are the absolute eigenvalues of two half-size
-symmetric blocks; any other's are those of the symmetric Hankel matrix ``TJ``,
-and its ln|det T| is LU's.  All of it runs on numpy alone, with no scipy.
+quantity, so they are aggregated here once, in the log domain.  The spectrum
+is taken from the table's coefficient window, and the solvers read Toeplitz
+and Hankel views of it, so no L x L block is built.  A symmetric window
+(every isotropic table) gives a centrosymmetric block, whose singular values
+are the absolute eigenvalues of two half-size symmetric blocks; any other
+block's are those of the symmetric Hankel matrix ``TJ``, and its ln|det T| is
+LU's.  All of it runs on numpy alone, with no scipy.
 """
 
 from __future__ import annotations
@@ -226,27 +228,36 @@ def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
         t = np.concatenate([t_minus[:0:-1], t_plus])
         method = "quadrature"
     overshoot = float(np.abs(t).max()) - 1.0
-    if overshoot > 1e-12:
+    if not overshoot <= 1e-12:      # NaN fails too
         raise CoefficientAccuracyError(
             "coefficient accuracy: |t_l| exceeds 1", achieved=overshoot)
     return ToeplitzCoeffs(L, t, method)
 
 
+def _window(table: ToeplitzCoeffs, L: int) -> np.ndarray:
+    """``t_{-(L-1)} .. t_{L-1}``, a view of the table."""
+    if not 1 <= L <= table.L:
+        raise ModelError(f"block length L={L} outside [1, {table.L}], the coefficient table's")
+    lo = table.L - L
+    return table.t[lo:lo + 2 * L - 1]
+
+
+def _toeplitz(window: np.ndarray) -> np.ndarray:
+    """The block ``T[i, j] = t_{j-i}`` of a coefficient window, as a read-only view of it."""
+    # window r is t_{r-(L-1)} .. t_{r}; reversed, row i is t_{-i} .. t_{L-1-i}
+    return np.lib.stride_tricks.sliding_window_view(window, (window.size + 1) // 2)[::-1]
+
+
 def build_T(model: ModelSpec, L: int, abs_tol: float = 1e-12,
             table: ToeplitzCoeffs | None = None) -> np.ndarray:
-    """The L x L Toeplitz block ``T[i, j] = t_{j-i}``, the input of :func:`block_spectrum`.
+    """The L x L Toeplitz block ``T[i, j] = t_{j-i}`` as a matrix, for the tests and
+    the benchmark replay; :func:`table_spectrum` takes its spectrum without it.
 
     Symmetric exactly when the model is isotropic.
     """
-    if L < 1:
-        raise ModelError("block length L must be >= 1")
     if table is None:
         table = coefficient_table(model, L, abs_tol)
-    elif table.L < L:
-        raise ModelError(f"coefficient table covers L={table.L} < requested {L}")
-    lo = table.L - L                     # t[lo:lo + 2L-1] is t_{-(L-1)} .. t_{L-1}
-    # window r is t_{r-(L-1)} .. t_{r}; reversed, row i is t_{-i} .. t_{L-1-i}
-    return np.lib.stride_tricks.sliding_window_view(table.t[lo:lo + 2 * L - 1], L)[::-1].copy()
+    return _toeplitz(_window(table, L)).copy()
 
 
 @dataclass(frozen=True)
@@ -277,13 +288,16 @@ def _xlnx(x: np.ndarray) -> np.ndarray:
 def spectrum_from_singular_values(values) -> BlockSpectrum:
     """Aggregate raw singular values into a :class:`BlockSpectrum`.
 
-    Values past 1 by rounding are clipped; an overshoot above 1e-8 breaks
-    ``|T| <= 1`` and raises :class:`InvalidSpectrumError`, a numerical
-    failure, since the values are computed.
+    Values past 1 or below 0 by rounding are clipped; an overshoot above 1e-8
+    breaks ``|T| <= 1``, and it, a value below -1e-8 or one that is not finite
+    raises :class:`InvalidSpectrumError`, a numerical failure, since the
+    values are computed.
     """
     mu = np.sort(np.asarray(values, dtype=float))[::-1].copy()
     if mu.size == 0:
         raise ModelError("empty singular value array")
+    if not np.isfinite(mu).all() or mu[-1] < -1e-8:
+        raise InvalidSpectrumError("singular values must be finite and non-negative")
     overshoot = float(mu[0]) - 1.0
     if overshoot > 1e-8:
         raise InvalidSpectrumError(
@@ -307,40 +321,63 @@ def spectrum_from_singular_values(values) -> BlockSpectrum:
     )
 
 
-def block_spectrum(T) -> BlockSpectrum:
-    """Singular values of a Toeplitz block with log-domain aggregates, from ``eigvalsh``.
+def _window_spectrum(window: np.ndarray) -> BlockSpectrum:
+    """:func:`table_spectrum` of a coefficient window ``t_{-(L-1)} .. t_{L-1}``."""
+    if not np.isfinite(window).all():
+        raise ModelError("coefficient window must be finite")
+    T = _toeplitz(window)
+    H = T[:, ::-1]                      # TJ, a Hankel view
+    L, m = T.shape[0], T.shape[0] // 2
+    symmetric = np.array_equal(window, window[::-1])
 
-    Any matrix but a finite Toeplitz block ``T[i, j] = t_{j-i}`` raises
-    :class:`ModelError`.  A symmetric block (row 0 equal to column 0, as in every
-    isotropic block) is also centrosymmetric (``JTJ = T``, ``J`` the exchange
-    matrix) and splits into the half-size symmetric blocks ``T11 +- T12 J``,
-    where ``T11`` and ``T12`` are its top-left and top-right ``L // 2`` square
-    quarters; for odd L the ``+`` block is bordered by ``sqrt(2)`` times the
-    middle column and the centre entry.  Their absolute eigenvalues are the
-    singular values, as are those of the symmetric Hankel matrix ``TJ`` of any
-    other block, whose ln|det T| comes from LU.
-    """
-    A = np.asarray(T, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
-        raise ModelError("block must be a non-empty square matrix")
-    # entries repeat row 0 and column 0 down the diagonals, so those carry finiteness
-    if not (np.isfinite(A[0]).all() and np.isfinite(A[:, 0]).all()
-            and np.array_equal(A[1:, 1:], A[:-1, :-1])):
-        raise ModelError("block must be Toeplitz (T[i, j] = t_{j-i}) with finite entries")
-    symmetric = np.array_equal(A[0], A[:, 0])
+    def bordered_plus():
+        plus = math.sqrt(2.0) * T[:L - m, :L - m]     # middle row and column, for odd L
+        np.add(T[:m, :m], H[:m, :m], out=plus[:m, :m])
+        plus[m:, m:] = T[m:L - m, m:L - m]
+        return plus
+
     try:
         if symmetric:
-            L, m = A.shape[0], A.shape[0] // 2
-            head, cj = A[:m, :m], A[:m, L - m:][:, ::-1]
-            # the middle row and column A[m:L-m] are empty for even L
-            plus = np.block([[head + cj, math.sqrt(2.0) * A[:m, m:L - m]],
-                             [math.sqrt(2.0) * A[m:L - m, :m], A[m:L - m, m:L - m]]])
-            sv = np.abs(np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(head - cj)]))
+            sv = np.abs(np.concatenate([np.linalg.eigvalsh(bordered_plus()),
+                                        np.linalg.eigvalsh(T[:m, :m] - H[:m, :m])]))
         else:
-            sv = np.abs(np.linalg.eigvalsh(A[:, ::-1]))
+            sv = np.abs(np.linalg.eigvalsh(H))
         # a winding symbol's smallest mu lies below eigvalsh's absolute eps, not LU's
-        ln_absdet = None if symmetric else float(np.linalg.slogdet(A)[1])
+        ln_absdet = None if symmetric else float(np.linalg.slogdet(T)[1])
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"decomposition failure: {exc}") from exc
     spec = spectrum_from_singular_values(sv)
     return spec if ln_absdet is None else replace(spec, ln_absdet_T=ln_absdet)
+
+
+def table_spectrum(table: ToeplitzCoeffs, L: int) -> BlockSpectrum:
+    """Singular values and log-domain aggregates of the L x L block of ``table``,
+    from ``eigvalsh`` of matrices built as views of the window ``t_{-(L-1)} .. t_{L-1}``.
+
+    A symmetric window (``t_l = t_{-l}``, every isotropic table) gives a
+    centrosymmetric block (``JTJ = T``, ``J`` the exchange matrix), which splits
+    into the half-size symmetric blocks ``T11 +- T12 J``, where ``T11`` and
+    ``T12`` are its top-left and top-right ``L // 2`` square quarters: Toeplitz
+    and Hankel views of the window.  For odd L the ``+`` block is bordered by
+    ``sqrt(2)`` times the middle column and the centre entry.  Their absolute
+    eigenvalues are the singular values, each half formed only when its
+    ``eigvalsh`` runs.  Any other block's are those of the symmetric Hankel
+    matrix ``TJ``, and its ln|det T| is LU's, both read from views, so the
+    LAPACK wrappers make the only copy.  Refuses (``ModelError``) ``L < 1``,
+    ``L`` past the table and a window that is not finite.
+    """
+    return _window_spectrum(_window(table, L))
+
+
+def block_spectrum(T) -> BlockSpectrum:
+    """:func:`table_spectrum` of a Toeplitz block given as a matrix.
+
+    Any matrix but a finite Toeplitz block ``T[i, j] = t_{j-i}`` raises
+    :class:`ModelError`.  Row 0 and column 0 give the coefficient window.
+    """
+    A = np.asarray(T, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ModelError("block must be a non-empty square matrix")
+    if not np.array_equal(A[1:, 1:], A[:-1, :-1]):     # NaN off row 0 and column 0 fails too
+        raise ModelError("block must be Toeplitz (T[i, j] = t_{j-i}) with finite entries")
+    return _window_spectrum(np.concatenate([A[::-1, 0], A[0, 1:]]))

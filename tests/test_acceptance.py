@@ -16,19 +16,18 @@ import pytest
 from singlecopy.model import build_model
 from singlecopy.toeplitz import build_T, block_spectrum
 from singlecopy.entangle import (
-    nielsen_transformable,
     probabilistic_Ep,
     sector_decompose,
     single_copy_E1,
 )
 from singlecopy.oracle import compare_oracle
 from singlecopy.asymptotics import (
-    bound_chain,
     fit_log,
     geometric_grid,
     saturation_test,
     scan,
 )
+from bounds import bound_chain, nielsen_transformable
 from test_asymptotics import dilog_half_interval, scaling_integral
 
 XX2 = build_model("xx", a=2)

@@ -11,13 +11,13 @@ from singlecopy.toeplitz import spectrum_from_singular_values
 from singlecopy.asymptotics import (
     ScanRow,
     ScanSeries,
-    bound_chain,
     fit_log,
     geometric_grid,
     saturation_test,
     scan,
     _row_from_spectrum,
 )
+from bounds import bound_chain
 
 XX2 = build_model("xx", a=2)
 

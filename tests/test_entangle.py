@@ -10,12 +10,12 @@ from singlecopy.model import build_model
 from singlecopy.toeplitz import block_spectrum, build_T
 from singlecopy.entangle import (
     leading_eigenvalues,
-    nielsen_transformable,
     probabilistic_Ep,
     report,
     sector_decompose,
     single_copy_E1,
 )
+from bounds import nielsen_transformable
 
 XX2 = build_model("xx", a=2)
 
@@ -165,6 +165,15 @@ def test_leading_eigenvalues_pads_zeros_past_rank():
 
 
 # --- sectors ----------------------------------------------------------------
+
+@pytest.mark.parametrize("mu", [[math.nan, 0.3], [0.3, math.inf]], ids=["nan", "inf"])
+def test_mode_functions_refuse_values_that_are_not_finite(mu):
+    with pytest.raises(InvalidSpectrumError, match="finite"):
+        leading_eigenvalues(mu, 4)
+    for convention in ("plus", "minus"):
+        with pytest.raises(InvalidSpectrumError, match="finite"):
+            sector_decompose(np.array(mu), convention)
+
 
 def test_sector_single_mode():
     sw = sector_decompose(np.array([0.5]), "plus")  # nu = 0.75

@@ -14,11 +14,14 @@ from numpy.polynomial import chebyshev, polynomial
 from singlecopy import model as model_module, toeplitz
 from singlecopy.errors import CoefficientAccuracyError, InvalidSpectrumError, ModelError
 from singlecopy.model import TWO_PI, build_model, classify_criticality, symbol_eval
+from singlecopy.asymptotics import _row_from_spectrum, scan
 from singlecopy.toeplitz import (
+    ToeplitzCoeffs,
     block_spectrum,
     build_T,
     coefficient_table,
     spectrum_from_singular_values,
+    table_spectrum,
     _fourier_pair,
 )
 from test_generated_tables import _model_from_laurent
@@ -480,8 +483,73 @@ def test_block_spectrum_rejects_bad_input():
 
 
 def test_spectrum_clamps_rounding_overshoot():
-    s = spectrum_from_singular_values([1.0 + 5e-11, 0.5])
-    assert s.mu[0] == 1.0
+    s = spectrum_from_singular_values([1.0 + 5e-11, 0.5, -5e-11])
+    assert s.mu[0] == 1.0 and s.mu[-1] == 0.0
+
+
+@pytest.mark.parametrize("values", [[math.nan, 0.5], [0.5, math.inf], [-0.5, 0.2]],
+                         ids=["nan", "inf", "negative"])
+def test_spectrum_refuses_values_that_are_not_finite_or_below_zero(values):
+    with pytest.raises(InvalidSpectrumError, match="finite and non-negative"):
+        spectrum_from_singular_values(values)
+
+
+def test_coefficient_table_refuses_a_nan_coefficient(monkeypatch):
+    # |t_l| <= 1 is the table's last check; NaN - 1 > 1e-12 is False, so it must fail on NaN
+    monkeypatch.setattr(toeplitz, "_closed_form",
+                        lambda model, profile, L: np.full(2 * L - 1, math.nan))
+    with pytest.raises(CoefficientAccuracyError, match="exceeds 1"):
+        coefficient_table(XX2, 4)
+
+
+# models and block lengths on which the table route and the dense block must agree bit
+# for bit: both split routes (even and odd L), the Hankel route on a critical and on a
+# winding table, and a four-Fermi-point isotropic table
+SPECTRUM_ROUTES = {"xx": XX2, "ising": ISING, "xy-winding": WINDING,
+                   "custom4": build_model("custom", A=(0.2, -0.4, -1))}
+
+
+@pytest.mark.parametrize("name", list(SPECTRUM_ROUTES))
+def test_scan_rows_equal_the_dense_block_rows_bit_for_bit(name):
+    model, grid = SPECTRUM_ROUTES[name], (1, 2, 3, 64, 65, 255, 256)
+    tab = coefficient_table(model, grid[-1])
+    for L, row in zip(grid, scan(model, grid).rows):
+        dense = block_spectrum(build_T(model, L, table=tab))
+        assert repr(row) == repr(_row_from_spectrum(dense))
+        assert table_spectrum(tab, L).mu.tobytes() == dense.mu.tobytes()
+
+
+@pytest.mark.parametrize("model, bound", [(XX2, 0.6), (ISING, 0.1)], ids=["xx", "ising"])
+def test_scan_allocates_less_than_the_dense_block(model, bound):
+    # the dense block takes 8 L^2 bytes; the split route forms one half-size block at a
+    # time (2 L^2 bytes), and the Hankel route hands views of the window to LAPACK
+    import tracemalloc
+
+    L = 1024
+    tracemalloc.start()
+    try:
+        scan(model, (L,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 8 * L * L
+
+
+def test_table_spectrum_refusals():
+    tab = coefficient_table(XX2, 4)
+    for L in (0, -1, 5):
+        with pytest.raises(ModelError, match="outside"):
+            table_spectrum(tab, L)
+    for bad in (math.nan, math.inf):
+        t = tab.t.copy()
+        t[3] = bad                              # t_0
+        with pytest.raises(ModelError, match="finite"):
+            table_spectrum(ToeplitzCoeffs(4, t, "closed_form"), 4)
+    # only the window t_{-(L-1)} .. t_{L-1} is read
+    t = tab.t.copy()
+    t[0] = math.nan                             # t_{-3}
+    got = table_spectrum(ToeplitzCoeffs(4, t, "closed_form"), 3)
+    assert got.mu.tobytes() == block_spectrum(build_T(XX2, 3)).mu.tobytes()
 
 
 def test_aggregates_stay_in_range():

@@ -158,12 +158,13 @@ def leading_eigenvalues(mu, r: int) -> np.ndarray:
     Best-first expansion over occupation flips: flipping mode ``l`` away from
     its favoured occupation divides the eigenvalue by ``(1+mu_l)/(1-mu_l)``,
     so the k-th eigenvalue is the k-th smallest subset sum of those log
-    ratios.  Never materializes the 2^L spectrum.  Refuses
-    (:class:`InvalidSpectrumError`) a ``mu`` that is not finite.
+    ratios.  Never materializes the 2^L spectrum.  Values past 0 or 1 by
+    at most 1e-8 are rounding and clipped; a ``mu`` further out, or not
+    finite, is refused (:class:`InvalidSpectrumError`).
     """
     mu = np.asarray(mu, dtype=float)
-    if not np.isfinite(mu).all():
-        raise InvalidSpectrumError("mu must be finite")
+    if not np.all((mu >= -1e-8) & (mu <= 1.0 + 1e-8)):     # NaN fails too
+        raise InvalidSpectrumError("mu must be finite and within [0, 1]")
     mu = np.clip(mu, 0.0, 1.0)
     L = mu.size
     if r < 1:

@@ -164,6 +164,17 @@ def test_leading_eigenvalues_pads_zeros_past_rank():
     assert np.allclose(vals, [1.0, 0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("mu", [[-0.5, 0.2], [1.5, 0.2], [-2e-8, 0.2], [1.0 + 2e-8, 0.2]])
+def test_leading_eigenvalues_refuse_mu_outside_the_unit_interval(mu):
+    with pytest.raises(InvalidSpectrumError, match=r"within \[0, 1\]"):
+        leading_eigenvalues(mu, 4)
+
+
+def test_leading_eigenvalues_clip_rounding_overshoot():
+    for rounded, exact in (([-5e-9, 0.2], [0.0, 0.2]), ([1.0 + 5e-9, 0.2], [1.0, 0.2])):
+        assert np.array_equal(leading_eigenvalues(rounded, 4), leading_eigenvalues(exact, 4))
+
+
 # --- sectors ----------------------------------------------------------------
 
 @pytest.mark.parametrize("mu", [[math.nan, 0.3], [0.3, math.inf]], ids=["nan", "inf"])

@@ -11,6 +11,7 @@ the isotropic block spectrum, and the finite Gaussian chain against exact
 diagonalization.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -103,17 +104,24 @@ x_factors = st.one_of(
 scales = st.one_of(st.floats(0.5, 2.0), st.floats(-2.0, -0.5))
 
 
+@functools.cache
+def _grid_harmonic(j):
+    """``(cos(jk), sin(jk))`` in extended precision on the grid nodes ``k``."""
+    k = (np.arange(GRID, dtype=np.longdouble) + 0.5) * np.longdouble(STEP)
+    return np.cos(j * k), np.sin(j * k)
+
+
 def _grid_lam(model):
     """lam on the grid, summed from the couplings in extended precision,
     as ``(re, im, scale)``."""
-    k = (np.arange(GRID, dtype=np.longdouble) + 0.5) * np.longdouble(STEP)
     A = np.asarray(model.A, dtype=np.longdouble)
     B = np.asarray(model.B, dtype=np.longdouble)
     re = np.full(GRID, A[0])
     im = np.zeros(GRID, dtype=np.longdouble)
     for j in range(1, model.w + 1):
-        re += 2 * A[j] * np.cos(j * k)
-        im -= 4 * B[j - 1] * np.sin(j * k)
+        cos, sin = _grid_harmonic(j)
+        re += 2 * A[j] * cos
+        im -= 4 * B[j - 1] * sin
     return re, im, np.abs(A).sum() * 2 + np.abs(B).sum() * 4
 
 

@@ -1,9 +1,13 @@
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.csgraph
+from hypothesis import assume, given, settings, strategies as st
 
 from singlecopy import oracle
 from singlecopy.errors import DegenerateGroundStateError, ModelError
@@ -68,6 +72,63 @@ def test_fock_spectrum_equals_subset_sums(n):
         many_body = np.sort(np.linalg.eigvalsh(fock_hamiltonian(model, n).toarray()))
         modes = np.linalg.svd(chain_quadratic_form(model, n), compute_uv=False)[0::2]
         assert np.abs(many_body - many_body[0] - _subset_sums(modes)).max() < 1e-9
+
+
+def _kron_fock_hamiltonian(model, n):
+    """The Jordan-Wigner operator sum of the coupling table, summed from sparse
+    annihilators ``c_j = Z x ... x Z x s- x 1 x ... x 1`` (site 0 the leftmost
+    factor): the reference for the bitwise ``fock_hamiltonian``."""
+    string = scipy.sparse.diags([1.0, -1.0])                   # (-1)^{n_i}
+    lower = scipy.sparse.csr_matrix([[0.0, 1.0], [0.0, 0.0]])  # |filled> -> |empty>
+    one = scipy.sparse.identity(2)
+    kron = functools.partial(scipy.sparse.kron, format="csr")
+    c = [functools.reduce(kron, [string] * j + [lower] + [one] * (n - 1 - j)) for j in range(n)]
+    cdag = [op.T.tocsr() for op in c]
+    H = model.A[0] * sum(cdag[j] @ c[j] for j in range(n))
+    for j in range(n):
+        for k in range(max(0, j - model.w), min(n, j + model.w + 1)):
+            d = j - k
+            if d == 0:
+                continue
+            a = model.A[abs(d)]
+            b = math.copysign(1.0, d) * model.B[abs(d) - 1]
+            if a != 0.0:
+                H = H + a * (cdag[j] @ c[k])
+            if b != 0.0:
+                H = H + b * (cdag[j] @ cdag[k] - c[j] @ c[k])
+    H.eliminate_zeros()
+    return H
+
+
+def _assert_equals_kron_reference(model, n):
+    H, ref = fock_hamiltonian(model, n), _kron_fock_hamiltonian(model, n)
+    H.sort_indices()
+    ref.sort_indices()
+    for got, want in ((H.indptr, ref.indptr), (H.indices, ref.indices), (H.data, ref.data)):
+        assert np.array_equal(got, want)    # same sparsity graph, same values to the bit
+
+
+couplings = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def coupling_tables(draw):
+    w = draw(st.integers(0, 3))
+    A = draw(st.lists(couplings, min_size=w + 1, max_size=w + 1))
+    B = draw(st.lists(couplings, min_size=w, max_size=w))
+    assume(any(A + B))                  # a table whose couplings all vanish is refused
+    return build_model("custom", A=A, B=B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupling_tables(), st.integers(1, 8))
+def test_fock_hamiltonian_equals_kron_reference(model, n):
+    _assert_equals_kron_reference(model, n)
+
+
+@pytest.mark.parametrize("model", [XX2, ISING, XY, W2], ids=["xx2", "ising", "xy", "w2"])
+def test_fock_hamiltonian_equals_kron_reference_at_12_sites(model):
+    _assert_equals_kron_reference(model, 12)
 
 
 def test_ground_vector_has_single_occupation_sector():

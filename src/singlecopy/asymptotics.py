@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .entangle import single_copy_E1
-from .errors import ModelError, ToolkitError
+from .errors import ModelError, ToolkitError, size
 from .model import ModelSpec, classify_criticality
 from .toeplitz import LN2, MAX_L, BlockSpectrum, coefficient_table, table_spectrum
 
@@ -25,6 +25,8 @@ def geometric_grid(L_min: int, L_max: int, per_octave: int = 2) -> tuple[int, ..
     ``L_max`` past the longest block, ``MAX_L``: the loop takes about
     ``per_octave * log2(L_max / L_min)`` steps.
     """
+    L_min, L_max, per_octave = (size(v, name) for v, name in
+                                zip((L_min, L_max, per_octave), ("L_min", "L_max", "per_octave")))
     if not 1 <= L_min <= L_max <= MAX_L or not 1 <= per_octave <= L_max:
         raise ModelError(f"need 1 <= L_min <= L_max <= {MAX_L} and 1 <= per_octave <= L_max")
     out = []
@@ -80,11 +82,9 @@ def scan(model: ModelSpec, grid, progress=None) -> ScanSeries:
 
     Failures are recorded per row instead of aborting the scan.
     """
-    grid = tuple(int(L) for L in grid)
+    grid = tuple(size(L, "grid point", MAX_L) for L in grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ModelError("grid must be non-empty and strictly increasing")
-    if grid[0] < 1 or grid[-1] > MAX_L:
-        raise ModelError(f"grid must stay within [1, {MAX_L}]")
     table = coefficient_table(model, grid[-1])
 
     def job(L: int):

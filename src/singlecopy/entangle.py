@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpectrumError, ModelError, SolverError
+from .errors import InvalidSpectrumError, ModelError, SolverError, size
 from .model import ModelSpec
 from .toeplitz import LN2, MAX_L, BlockSpectrum, coefficient_table, table_spectrum
 
@@ -122,8 +122,7 @@ def probabilistic_Ep(spectrum, M_max: int = MAX_EP_DIMS, tail_weight: float = 0.
     truncated program's value by about as much (6e-8 bits for ising at
     L=256 with 1024 dims). Optimality is verified through the dual solution.
     """
-    if not 1 <= M_max <= MAX_EP_DIMS:
-        raise InvalidSpectrumError(f"M_max must be in [1, {MAX_EP_DIMS}]")
+    M_max = size(M_max, "M_max", MAX_EP_DIMS, InvalidSpectrumError)
     if tail_weight < -1e-12:
         raise InvalidSpectrumError("tail_weight must be non-negative")
     tail_weight = max(float(tail_weight), 0.0)
@@ -167,8 +166,7 @@ def leading_eigenvalues(mu, r: int) -> np.ndarray:
         raise InvalidSpectrumError("mu must be finite and within [0, 1]")
     mu = np.clip(mu, 0.0, 1.0)
     L = mu.size
-    if r < 1:
-        raise InvalidSpectrumError("need r >= 1 eigenvalues")
+    r = size(r, "r", math.inf, InvalidSpectrumError)
     ln_top = float(np.sum(np.log1p((mu - 1.0) / 2.0)))
     with np.errstate(divide="ignore"):
         cost = np.log1p(mu) - np.log1p(-mu)
@@ -263,8 +261,7 @@ class EntanglementReport:
 
 
 def _check_report_options(model: ModelSpec, with_sectors: bool, Ep_dims: int) -> None:
-    if not 1 <= Ep_dims <= MAX_EP_DIMS:
-        raise ModelError(f"Ep_dims must be in [1, {MAX_EP_DIMS}]")
+    size(Ep_dims, "Ep_dims", MAX_EP_DIMS)
     if with_sectors and not model.isotropic:
         raise ModelError(f"sectors need an isotropic model; the {model.label} model is not")
 
@@ -305,13 +302,13 @@ def report(model: ModelSpec, L: int, *, with_Ep: bool = False,
            with_sectors: bool = False, Ep_dims: int = 256) -> EntanglementReport:
     """Full pipeline model -> T_L -> mu -> entanglement report.
 
-    Refuses, before computing anything, a block length outside
-    ``[1, MAX_L]``, an ``Ep_dims`` outside ``[1, MAX_EP_DIMS]``, and
+    Refuses, before computing anything, a block length that is not an
+    integer in ``[1, MAX_L]``, an ``Ep_dims`` that is not one in
+    ``[1, MAX_EP_DIMS]``, and
     ``with_sectors`` on an anisotropic model, whose reduction is not
     occupation-diagonal (``ModelError`` each).
     """
-    if not 1 <= L <= MAX_L:
-        raise ModelError(f"block length L must be in [1, {MAX_L}]")
+    L = size(L, "block length L", MAX_L)
     _check_report_options(model, with_sectors, Ep_dims)
     spec = table_spectrum(coefficient_table(model, L), L)
     return report_from_spectrum(model, spec, with_Ep=with_Ep,

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the size check that raises them."""
+
+import operator
 
 
 class ToolkitError(Exception):
@@ -39,3 +41,15 @@ class DegenerateGroundStateError(ToolkitError):
 
 class SolverError(ToolkitError):
     """Linear program failed to converge to a verified optimum."""
+
+
+def size(value, name: str, hi: float | None = None, error: type = ModelError) -> int:
+    """``value`` as an int by ``operator.index``: numpy integers pass, and a float, even
+    an integral one, raises ``error``, as does an int outside ``[1, hi]`` when ``hi`` is given."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if hi is not None and not 1 <= n <= hi:
+        raise error(f"{name} must be in [1, {hi}]")
+    return n

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, SymbolSingularError
+from .errors import ModelError, SymbolSingularError, size
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,7 +63,7 @@ class ModelSpec:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.w < 0:
+        if size(self.w, "coupling range w") < 0:
             raise ModelError("coupling range w must be non-negative")
         if len(self.A) != self.w + 1 or len(self.B) != self.w:
             raise ModelError(
@@ -123,6 +123,17 @@ def _require_param(name, value):
     return value
 
 
+def _couplings(name: str, values) -> tuple[float, ...]:
+    """A real number or a flat sequence of them as a tuple of floats; anything else is refused."""
+    try:     # a complex array would convert with a warning, dropping its imaginary part
+        arr = None if np.iscomplexobj(values) else np.atleast_1d(np.asarray(values, dtype=float))
+    except (TypeError, ValueError):      # strings, ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 1:
+        raise ModelError(f"couplings {name} must be a real number or a flat sequence of them")
+    return tuple(arr.tolist())
+
+
 def build_model(kind: str = "custom", *, a=None, gamma=None, A=None, B=None) -> ModelSpec:
     """Construct a validated :class:`ModelSpec`.
 
@@ -152,12 +163,11 @@ def build_model(kind: str = "custom", *, a=None, gamma=None, A=None, B=None) -> 
         gv = _require_param("gamma", gamma)
         Ac, Bc = _xy_couplings(av, gv)
         return ModelSpec("xy", 1, Ac, Bc, av, gv)
-    At = () if A is None else tuple(float(x) for x in np.atleast_1d(np.asarray(A, dtype=float)))
+    At = () if A is None else _couplings("A", A)
     if not At:
         raise ModelError("custom model needs the symmetric couplings A_0 .. A_w, at least A_0")
     w = len(At) - 1
-    Bt = ((0.0,) * w if B is None
-          else tuple(float(x) for x in np.atleast_1d(np.asarray(B, dtype=float))))
+    Bt = (0.0,) * w if B is None else _couplings("B", B)
     return ModelSpec("custom", w, At, Bt)
 
 

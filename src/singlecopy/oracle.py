@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entangle import leading_eigenvalues
-from .errors import DecompositionError, DegenerateGroundStateError, ModelError
+from .errors import DecompositionError, DegenerateGroundStateError, ModelError, size
 from .model import ModelSpec
 from .toeplitz import (MAX_L, BlockSpectrum, coefficient_table, spectrum_from_singular_values,
                        table_spectrum)
@@ -43,8 +43,7 @@ def chain_quadratic_form(model: ModelSpec, n: int) -> np.ndarray:
     The real skew-symmetric ``h`` of ``H = (i/4) m^T h m`` in the
     interleaved Majorana layout ``(m_1, m_2, ..., m_{2n})``.
     """
-    if n < 1:
-        raise ModelError("chain length n must be >= 1")
+    n = size(n, "chain length n", math.inf)
     h = np.zeros((2 * n, 2 * n))
     for j in range(n):
         for k in range(max(0, j - model.w), min(n, j + model.w + 1)):
@@ -70,7 +69,7 @@ def _gaussian_block(model: ModelSpec, n: int, L: int):
     values of ``h`` are the normal-mode energies, each twice, and the gap is
     the smallest, 0 to rounding when there are zero modes.
     """
-    if not (1 <= L <= n <= MAX_L):
+    if not (1 <= size(L, "block length L") <= n <= MAX_L):
         raise ModelError(f"need 1 <= L <= n <= {MAX_L}")
     import scipy.linalg     # deferred, as every scipy import: the package imports on numpy alone
     U, s, Vt = scipy.linalg.svd(chain_quadratic_form(model, n))
@@ -104,7 +103,7 @@ def fock_hamiltonian(model: ModelSpec, n: int):
     neither are (pairing, both orders of the pair), times the Jordan-Wigner sign
     ``(-1)^(occupied sites between j and k)``.
     """
-    if n < 1 or n > 12:
+    if not 1 <= size(n, "chain length n") <= 12:
         raise ModelError("exact diagonalization limited to n <= 12")
     import scipy.sparse
     s = np.arange(1 << n)
@@ -170,7 +169,7 @@ def _reduced_spectrum(psi: np.ndarray, n: int, L: int) -> np.ndarray:
 
 def exact_diag_ground(model: ModelSpec, n: int, L: int) -> np.ndarray:
     """Sorted reduced-state spectrum of the centered block from exact diagonalization."""
-    if not (1 <= L <= n):
+    if not (1 <= size(L, "block length L") <= n):
         raise ModelError("need 1 <= L <= n")
     _, psi = _ed_ground(model, n)
     return _reduced_spectrum(psi, n, L)

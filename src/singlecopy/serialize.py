@@ -6,14 +6,15 @@ tuples and arrays become lists. A field that holds its declared default
 (``None``, NaN or ``0``) is omitted, and ``from_dict`` restores it from the
 same default. So reordering or renaming a field changes the schema.
 
-Floats are rendered with 17 significant digits so JSON round trips are
-bit-exact; infinities become the strings "inf"/"-inf", which ``float``
-parses back.
+``_encode`` turns numpy scalars into Python values and infinities into the
+strings "inf"/"-inf", which ``float`` parses back. ``dumps`` is the standard
+library's strict encoder: floats take their shortest round-trip repr, so round
+trips are bit-exact, every list element sits on its own line, and a NaN
+outside a default field raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import types
@@ -28,55 +29,9 @@ from .asymptotics import SCAN_FIELDS, ScanSeries
 CSV_COLUMNS = ("L",) + SCAN_FIELDS
 
 
-def _float_token(x: float) -> str:
-    if math.isnan(x):
-        raise ValueError("NaN is not serializable")
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
-
-
-def _write(obj, out: io.StringIO, indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            out.write(f'{pad}  {json.dumps(key)}: ')
-            _write(val, out, indent + 1)
-            out.write(",\n" if i < len(obj) - 1 else "\n")
-        out.write(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.write("[]")
-            return
-        out.write("[")
-        for i, val in enumerate(obj):
-            _write(val, out, indent + 1)
-            if i < len(obj) - 1:
-                out.write(", ")
-        out.write("]")
-    elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
-    elif obj is None:
-        out.write("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.write(_float_token(float(obj)))
-    elif isinstance(obj, str):
-        out.write(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def dumps(obj) -> str:
-    buf = io.StringIO()
-    _write(obj, buf, 0)
-    buf.write("\n")
-    return buf.getvalue()
+    """Strict JSON text of an encoded result (see :func:`to_dict`), indented by 2."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _holds_default(value, default) -> bool:
@@ -97,6 +52,10 @@ def _encode(obj):
         return [_encode(x) for x in obj]
     if isinstance(obj, dict):
         return {k: _encode(v) for k, v in obj.items()}
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
     return obj
 
 
@@ -138,15 +97,8 @@ def scan_from_dict(d: dict) -> ScanSeries:
 
 def scan_to_csv(series: ScanSeries) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for row in series.rows:
-        cells = [str(row.L)]
-        for col in SCAN_FIELDS:
-            x = getattr(row, col)
-            if math.isnan(x):
-                cells.append("")
-            elif math.isinf(x):
-                cells.append("inf" if x > 0 else "-inf")
-            else:
-                cells.append(format(x, ".17g"))
-        lines.append(",".join(cells))
+    for row in series.rows:      # format renders infinities as inf and -inf
+        values = (getattr(row, col) for col in SCAN_FIELDS)
+        lines.append(",".join([str(row.L)] + ["" if math.isnan(x) else format(x, ".17g")
+                                              for x in values]))
     return "\n".join(lines) + "\n"

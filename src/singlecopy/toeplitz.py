@@ -29,7 +29,7 @@ from functools import cache
 import numpy as np
 
 from .errors import (CoefficientAccuracyError, DecompositionError, InvalidSpectrumError,
-                     ModelError, SymbolSingularError)
+                     ModelError, SymbolSingularError, size)
 from .model import (TWO_PI, ModelSpec, SymbolProfile, _laurent, classify_criticality,
                     dispersion, symbol_eval)
 
@@ -205,8 +205,7 @@ def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
     The table for the largest block length of a scan is reused for every
     smaller block, since Toeplitz blocks nest.
     """
-    if L < 1:
-        raise ModelError("block length L must be >= 1")
+    L = size(L, "block length L", math.inf)
     if not 0.0 < abs_tol < math.inf:
         raise ModelError("abs_tol must be positive and finite")
     if profile is None:
@@ -236,7 +235,7 @@ def coefficient_table(model: ModelSpec, L: int, abs_tol: float = 1e-12,
 
 def _window(table: ToeplitzCoeffs, L: int) -> np.ndarray:
     """``t_{-(L-1)} .. t_{L-1}``, a view of the table."""
-    if not 1 <= L <= table.L:
+    if not 1 <= size(L, "block length L") <= table.L:
         raise ModelError(f"block length L={L} outside [1, {table.L}], the coefficient table's")
     lo = table.L - L
     return table.t[lo:lo + 2 * L - 1]

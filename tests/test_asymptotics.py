@@ -81,6 +81,15 @@ def test_scan_validates_grid():
         scan(XX2, (64, 8192))
 
 
+def test_scan_refuses_non_integral_grid_points():
+    # these used to be truncated to the grid (8, 16)
+    with pytest.raises(ModelError, match="grid point must be an integer, got 8.7"):
+        scan(XX2, (8.7, 16.2))
+    with pytest.raises(ModelError, match="L_max must be an integer"):
+        geometric_grid(8, 32.0)
+    assert scan(XX2, np.array([4, 8])).grid == (4, 8)
+
+
 def test_fit_recovers_exact_affine_data():
     grid = (4, 8, 16, 32, 64)
     series = make_series(grid, [0.5 * math.log2(L) + 1.0 for L in grid])

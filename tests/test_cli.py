@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from singlecopy import __version__
 from singlecopy.cli import run
@@ -14,7 +17,8 @@ from singlecopy.model import build_model
 from singlecopy.entangle import EntanglementReport, report
 from singlecopy.oracle import OracleComparison, compare_oracle
 from singlecopy.toeplitz import coefficient_table
-from singlecopy.asymptotics import ScalingFit, ScanRow, ScanSeries, fit_log, geometric_grid, scan
+from singlecopy.asymptotics import (SCAN_FIELDS, ScalingFit, ScanRow, ScanSeries, fit_log,
+                                    geometric_grid, scan)
 from singlecopy.serialize import (
     comparison_to_dict,
     dumps,
@@ -287,7 +291,7 @@ def test_report_round_trip_bit_exact():
     rep = report(build_model("xx", a=2), 10, with_Ep=True, with_sectors=True)
     parsed = from_dict(EntanglementReport, json.loads(dumps(report_to_dict(rep))))
     assert parsed.L == rep.L
-    assert parsed.alpha1 == rep.alpha1          # bit-exact through 17 digits
+    assert parsed.alpha1 == rep.alpha1          # bit-exact through the shortest repr
     assert parsed.E1_bits == rep.E1_bits
     assert parsed.e1_cont_bits == rep.e1_cont_bits
     assert parsed.entropy_bits == rep.entropy_bits
@@ -344,6 +348,47 @@ def test_failed_scan_row_round_trips():
     assert parsed.rows[0].error == "boom"
     assert all(math.isnan(getattr(parsed.rows[0], f)) for f in
                ("e1_cont_bits", "E1_bits", "entropy_bits", "ln_absdet_T", "rms_term_bits"))
+
+
+def _strict_loads(text):
+    """``json.loads`` that fails on the non-standard constants NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise AssertionError(f"bare {name} in the JSON text")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _same_float(x, y):
+    return (math.isnan(x) and math.isnan(y)) or struct.pack("<d", x) == struct.pack("<d", y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=len(SCAN_FIELDS), max_size=len(SCAN_FIELDS)))
+@example([math.inf, -math.inf, -0.0, 5e-324, 1.7e308])
+@example([-1.7e308, 2.2250738585072009e-308, math.nan, 0.1, -5e-324])
+def test_scan_row_floats_round_trip_exactly(values):
+    # infinities travel as strings and NaN, the default, is omitted, so the text is strict JSON
+    row = ScanRow(L=7, **dict(zip(SCAN_FIELDS, values)))
+    series = ScanSeries(build_model("xx", a=2), (7,), (row,))
+    parsed = scan_from_dict(_strict_loads(dumps(scan_to_dict(series)))).rows[0]
+    assert all(_same_float(getattr(parsed, n), x) for n, x in zip(SCAN_FIELDS, values))
+
+
+def test_cli_json_is_strict(capsys):
+    code, out, _ = run_cli(["analyze", "--model", "xx", "--a", "2", "--L", "6", "--with-ep",
+                            "--with-sectors"], capsys)
+    assert code == 0
+    _strict_loads(out)
+    # custom A = (0, 1) has t_0 = 0, so the 1 x 1 block's ln|det T| is -inf
+    code, out, _ = run_cli(["scan", "--model", "custom", "--A=0,1", "--L-min", "1",
+                            "--L-max", "4"], capsys)
+    assert code == 0
+    assert _strict_loads(out)["rows"][0]["ln_absdet_T"] == "-inf"
+
+
+def test_nan_in_a_non_default_field_is_refused():
+    rep = report(build_model("xx", a=2), 6)
+    with pytest.raises(ValueError):
+        dumps(report_to_dict(dataclasses.replace(rep, entropy_bits=math.nan)))
 
 
 def _key_tree(obj):

@@ -294,6 +294,20 @@ def test_report_refuses_sectors_for_anisotropic():
     assert report(build_model("ising"), 6).sectors is None
 
 
+def test_report_refuses_a_non_integral_block_length():
+    with pytest.raises(ModelError, match="block length L must be an integer, got 64.0"):
+        report(XX2, 64.0)
+    with pytest.raises(ModelError, match="Ep_dims must be an integer"):
+        report(XX2, 8, with_Ep=True, Ep_dims=2.5)
+    assert report(XX2, np.int64(8)).L == 8
+
+
+def test_leading_eigenvalues_refuses_a_non_integral_count():
+    with pytest.raises(InvalidSpectrumError, match="r must be an integer, got 2.5"):
+        leading_eigenvalues([0.5, 0.2], 2.5)
+    assert leading_eigenvalues([0.5, 0.2], np.int64(3)).size == 3
+
+
 @pytest.mark.parametrize("dims", [0, 1025])
 def test_report_rejects_out_of_range_ep_dims(dims):
     with pytest.raises(ModelError, match=r"Ep_dims must be in \[1, 1024\]"):

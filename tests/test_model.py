@@ -47,6 +47,8 @@ def test_build_model_rejects_bad_input():
         build_model("xy", a=1, gamma=math.nan)
     with pytest.raises(ModelError):
         ModelSpec(label="custom", w=1, A=(1.0,), B=())  # wrong lengths
+    with pytest.raises(ModelError, match="coupling range w must be an integer, got 1.0"):
+        ModelSpec(label="custom", w=1.0, A=(1.0, 0.5), B=(0.0,))   # used to pass, then fail in range()
 
 
 @pytest.mark.parametrize("kind, kwargs, unread", [
@@ -69,6 +71,21 @@ def test_build_model_refuses_parameters_the_kind_does_not_read(kind, kwargs, unr
 def test_custom_model_needs_A_0(A):
     with pytest.raises(ModelError, match="A_0"):
         build_model("custom", A=A)
+
+
+@pytest.mark.parametrize("A, B, name", [
+    ([[1, 2], [3, 4]], None, "A"),
+    ("ab", None, "A"),
+    ([[1], [2]], None, "A"),
+    ((1, 2), [[0.5]], "B"),
+    ((1, 2), "x", "B"),
+    ((1, 2), [0.5, [1]], "B"),
+    (np.array([1 + 2j, 0.5]), None, "A"),
+    ((1, 2), [0.5j], "B"),
+], ids=["A-2d", "A-str", "A-column", "B-2d", "B-str", "B-ragged", "A-complex-array", "B-complex"])
+def test_custom_model_refuses_malformed_coupling_arrays(A, B, name):
+    with pytest.raises(ModelError, match=f"couplings {name} must be a real number or a flat"):
+        build_model("custom", A=A, B=B)
 
 
 @pytest.mark.parametrize("A, B", [

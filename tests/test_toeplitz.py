@@ -176,6 +176,13 @@ def test_a_lower_refusal_wins_over_an_earlier_higher_one(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_coefficient_table_refuses_a_non_integral_block_length():
+    for model in (XY, XX2):
+        with pytest.raises(ModelError, match="block length L must be an integer, got 2.5"):
+            coefficient_table(model, 2.5)
+    assert coefficient_table(XX2, np.int64(3)).L == 3
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
 def test_coefficient_table_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
     # the closed-form tables ignore the tolerance but still refuse a bad one

@@ -276,6 +276,7 @@ def report_from_spectrum(model: ModelSpec, spec: BlockSpectrum, *,
     diagnostics = {
         "ln_absdet_T": spec.ln_absdet_T,
         "rms_term_bits": spec.rms_term_bits,
+        "spectrum_method": spec.method,
     }
     ep_bits = None
     if with_Ep:

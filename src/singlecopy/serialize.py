@@ -80,8 +80,9 @@ def _decode(tp, value):
         return tuple(_decode(a, v) for a, v in zip(args, value, strict=True))
     if tp is np.ndarray:
         return np.array([float(x) for x in value])
-    if tp is dict:                                   # diagnostics: floats and flags
-        return {k: v if isinstance(v, bool) else float(v) for k, v in value.items()}
+    if tp is dict:          # diagnostics: flags and names stay, numbers and "inf"/"-inf" are floats
+        return {k: float(v) if not isinstance(v, (bool, str)) or v in ("inf", "-inf") else v
+                for k, v in value.items()}
     return tp(value)
 
 

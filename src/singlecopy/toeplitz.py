@@ -10,13 +10,13 @@ Both read the zeros and the step-phase certificate from the symbol profile
 of :func:`~singlecopy.model.classify_criticality` and find no roots
 themselves.
 The block's singular values ``mu_1 >= ... >= mu_L`` drive every entanglement
-quantity, so they are aggregated here once, in the log domain.  The spectrum
-is taken from the table's coefficient window, and the solvers read Toeplitz
-and Hankel views of it, so no L x L block is built.  A symmetric window
-(every isotropic table) gives a centrosymmetric block, whose singular values
-are the absolute eigenvalues of two half-size symmetric blocks; any other
-block's are those of the symmetric Hankel matrix ``TJ``, and its ln|det T| is
-LU's.  All of it runs on numpy alone, with no scipy.
+quantity, so they are aggregated here once, in the log domain.  They are read
+from the table's coefficient window, and no L x L block is built: from L = 512
+on, a certified Krylov subspace of the symmetric Hankel matrix ``TJ``, applied
+by FFT, holds the O(log L) ``mu`` away from 1 and the rest are 1; other blocks
+take ``eigvalsh`` of Toeplitz and Hankel views (of two half-size blocks for a
+symmetric, hence centrosymmetric, window).  A non-symmetric block's ln|det T|
+is LU's.  All of it runs on numpy alone, with no scipy.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ _OSC_PER_PANEL = 6.0      # oscillations of exp(-ilk) served by one 64-node pane
 _EPS = np.finfo(float).eps
 _STEP_ULPS = 64           # closed form: lam at arc midpoints off the step pattern
 _RESIDUE_TOL = 1e-12      # closed form: largest imaginary part of a t_l
+_KRYLOV_L = 512           # blocks this long first try the Krylov route (crossover in CHANGES.md)
+_KRYLOV_BLOCK = 4         # Krylov block size: start vectors, new vectors per product
+_KRYLOV_ULPS = 4          # Krylov certificate: trace of I - T T^T left over <= 4 L eps
 
 
 @dataclass(frozen=True)
@@ -277,6 +280,7 @@ class BlockSpectrum:
     ln_absdet_T: float
     entropy_bits: float
     rms_term_bits: float
+    method: str = "dense"     # "dense" (eigvalsh of views of the block) | "krylov" (_krylov_mu)
 
 
 def _xlnx(x: np.ndarray) -> np.ndarray:
@@ -320,6 +324,63 @@ def spectrum_from_singular_values(values) -> BlockSpectrum:
     )
 
 
+def _krylov_mu(window: np.ndarray) -> np.ndarray | None:
+    """Singular values of the block of ``window`` from a certified Krylov subspace, or None.
+
+    Grows an orthonormal block Krylov basis ``B`` of ``H = TJ`` (``H^2 = T T^T``), applied
+    by FFT through a circulant embedding.  Of the exact trace ``L - sum_l (L-|l|) t_l^2``
+    of ``I - T T^T``, ``B`` captures ``dim B - ||HB||_F^2``; past a leftover of ``4 L eps``
+    (and three more blocks) each ``mu`` outside ``B`` is set to 1.  The others are the
+    singular values of ``HB``, those below ``1/sqrt 2`` refined to the Ritz values of ``H``
+    on their span.  None if the trace passes ``L/4``, or the basis closes or reaches ``L/4``
+    columns, uncertified.
+    """
+    L = (window.size + 1) // 2
+    total = L - math.fsum(((L - np.abs(np.arange(1 - L, L))) * window * window).tolist())
+    if not total <= L // 4:          # each column captures at most 1
+        return None
+    from numpy import fft            # deferred: only long blocks use it
+    n = 1 << (2 * L - 2).bit_length()     # >= 2L - 1: the circular product does not wrap
+    w = fft.rfft(window, n)[:, None]
+    Q = np.linalg.qr(np.mod(np.arange(L * _KRYLOV_BLOCK, dtype=float).reshape(L, -1) ** 2
+                            * 0.6180339887498949, 1.0) - 0.5)[0]     # quadratic Weyl sequence
+    blocks, cols, captured, passed = [], [], 0.0, 0
+
+    def project(Z):                  # Z -= B B^T Z twice; returns the summed B^T Z
+        coef = [0.0] * len(blocks)
+        for _ in range(2):
+            for i, b in enumerate(blocks):
+                c = b.T @ Z
+                Z -= b @ c
+                coef[i] = coef[i] + c
+        return np.vstack(coef)
+
+    while passed < 4:
+        blocks.append(Q)
+        Y = fft.irfft(fft.rfft(Q, n, axis=0) * w, n, axis=0)[2 * L - 2:L - 2:-1].copy()  # HQ
+        captured += Q.shape[1] - float(np.vdot(Y, Y))
+        C = project(Y)
+        passed += total - captured <= _KRYLOV_ULPS * L * _EPS
+        U, s, Vt = np.linalg.svd(Y, full_matrices=False)
+        keep = s > math.sqrt(L) * _EPS   # deflation: drop directions H leaves invariant
+        if not keep.any() or len(C) + keep.sum() > L // 4:
+            if not passed:
+                return None
+            passed = 4
+        U = U[:, keep]
+        U -= sum(b @ (b.T @ U) for b in blocks)     # Y was twice projected: once suffices
+        Q, R = np.linalg.qr(U)
+        cols.append(np.vstack([C, R @ (s[keep, None] * Vt[keep])]))
+        del Y, U                     # before the next product: the peak holds B and one block
+    k = len(C)
+    N = np.hstack([np.pad(c, ((0, k + len(Q.T) - len(c)), (0, 0))) for c in cols])  # [B Q]^T HB
+    _, sv, vt = np.linalg.svd(N, full_matrices=False)
+    low = sv < math.sqrt(0.5)
+    V = vt[low].T
+    sv[low] = np.abs(np.linalg.eigvalsh(V.T @ (N[:k] + N[:k].T) @ V / 2))
+    return np.concatenate([sv, np.ones(L - k)])
+
+
 def _window_spectrum(window: np.ndarray) -> BlockSpectrum:
     """:func:`table_spectrum` of a coefficient window ``t_{-(L-1)} .. t_{L-1}``."""
     if not np.isfinite(window).all():
@@ -336,22 +397,28 @@ def _window_spectrum(window: np.ndarray) -> BlockSpectrum:
         return plus
 
     try:
-        if symmetric:
+        sv = _krylov_mu(window) if L >= _KRYLOV_L else None
+        method = "dense" if sv is None else "krylov"
+        if sv is None and symmetric:
             sv = np.abs(np.concatenate([np.linalg.eigvalsh(bordered_plus()),
                                         np.linalg.eigvalsh(T[:m, :m] - H[:m, :m])]))
-        else:
+        elif sv is None:
             sv = np.abs(np.linalg.eigvalsh(H))
         # a winding symbol's smallest mu lies below eigvalsh's absolute eps, not LU's
         ln_absdet = None if symmetric else float(np.linalg.slogdet(T)[1])
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"decomposition failure: {exc}") from exc
-    spec = spectrum_from_singular_values(sv)
+    spec = replace(spectrum_from_singular_values(sv), method=method)
     return spec if ln_absdet is None else replace(spec, ln_absdet_T=ln_absdet)
 
 
 def table_spectrum(table: ToeplitzCoeffs, L: int) -> BlockSpectrum:
     """Singular values and log-domain aggregates of the L x L block of ``table``,
-    from ``eigvalsh`` of matrices built as views of the window ``t_{-(L-1)} .. t_{L-1}``.
+    read from the window ``t_{-(L-1)} .. t_{L-1}``.
+
+    From ``L = 512`` on it comes from a certified Krylov subspace of ``TJ``
+    (``method`` "krylov", :func:`_krylov_mu`); shorter or uncertified blocks take
+    ``eigvalsh`` of matrices built as views of the window (``method`` "dense").
 
     A symmetric window (``t_l = t_{-l}``, every isotropic table) gives a
     centrosymmetric block (``JTJ = T``, ``J`` the exchange matrix), which splits

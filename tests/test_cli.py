@@ -410,7 +410,7 @@ MODEL_KEYS = ("model", [("label", None), ("w", None), ("A", None), ("B", None),
       ("e1_cont_bits", None), ("entropy_bits", None), ("Ep_bits", None),
       ("sectors", [[("N", None), ("weight", None), ("max_eigenvalue", None)]]),
       ("diagnostics", [("ln_absdet_T", None), ("rms_term_bits", None),
-                       ("Ep_truncated", None)]),
+                       ("spectrum_method", None), ("Ep_truncated", None)]),
       ("version", None)]),
     (["fit", "--model", "xx", "--a", "2", "--L-min", "16", "--L-max", "64",
       "--quantity", "entropy_bits"],

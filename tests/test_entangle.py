@@ -280,7 +280,14 @@ def test_report_divergence_with_L():
 def test_report_ordering_and_diagnostics():
     rep = report(XX2, 24, with_Ep=True)
     assert rep.E1_bits <= rep.Ep_bits <= rep.entropy_bits + 1e-9
-    assert set(rep.diagnostics) == {"ln_absdet_T", "rms_term_bits", "Ep_truncated"}
+    assert set(rep.diagnostics) == {"ln_absdet_T", "rms_term_bits", "spectrum_method",
+                                    "Ep_truncated"}
+    assert rep.diagnostics["spectrum_method"] == "dense"
+
+
+def test_report_names_the_spectrum_method():
+    assert report(XX2, 511).diagnostics["spectrum_method"] == "dense"
+    assert report(XX2, 512).diagnostics["spectrum_method"] == "krylov"
 
 
 def test_report_rejects_block_past_max_length():

@@ -1,9 +1,11 @@
 """The package imports, scans, fits and analyzes on numpy alone.
 
 scipy is loaded only by ``analyze --with-ep`` (the HiGHS linear program) and
-by the oracle, and the coefficient quadrature's thread pool and Gauss-Legendre
-rule only by a table that takes quadrature. Each check runs in a fresh
-interpreter, since this test process has scipy loaded already.
+by the oracle, the coefficient quadrature's thread pool and Gauss-Legendre
+rule only by a table that takes quadrature, and ``numpy.fft`` only by a
+block long enough for the Krylov route; no scan loads ``numpy.random``. Each
+check runs in a fresh interpreter, since this test process has scipy loaded
+already.
 """
 
 import json
@@ -17,6 +19,7 @@ import pytest
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 HEAVY = ("scipy.linalg", "scipy.special", "scipy.sparse", "scipy.optimize")
 QUADRATURE = ("concurrent.futures", "numpy.polynomial")
+FFT_RANDOM = ("numpy.fft", "numpy.random")
 
 # Runs each argv of argv 1 (a JSON list) through ``cli.run`` and prints, per
 # call, its exit code and the modules of argv 2 (a JSON list of prefixes)
@@ -81,3 +84,18 @@ def test_closed_form_paths_load_no_quadrature_modules(model):
     assert [r for r in results if r["loaded"]] == []
     quadrature = probe([["analyze", *MODELS["xy"], "--L", "24"]], QUADRATURE)
     assert set(quadrature[1]["loaded"]) >= set(QUADRATURE)
+
+
+# The Krylov route's FFT is deferred to the first block past the crossover, and its
+# start block is a closed-form sequence, so no scan loads numpy.random.
+def test_only_the_krylov_route_loads_numpy_fft_and_nothing_loads_numpy_random():
+    short = ["--L-min", "8", "--L-max", "32"]
+    long = ["--L-min", "512", "--L-max", "724"]
+    results = probe([["scan", *MODELS["xx"], *short], ["analyze", *MODELS["ising"], "--L", "24"],
+                     ["scan", *MODELS["xx"], *long], ["scan", *MODELS["ising"], *long]],
+                    FFT_RANDOM)
+    assert [r["code"] for r in results] == [0, 0, 0, 0, 0]
+    assert [r["loaded"] for r in results[:3]] == [[], [], []]
+    for r in results[3:]:
+        assert "numpy.fft" in r["loaded"]
+        assert not [m for m in r["loaded"] if m.startswith("numpy.random")]

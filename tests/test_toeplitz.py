@@ -5,16 +5,18 @@ import os
 import random
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import chebyshev, polynomial
 
 from singlecopy import model as model_module, toeplitz
 from singlecopy.errors import CoefficientAccuracyError, InvalidSpectrumError, ModelError
 from singlecopy.model import TWO_PI, build_model, classify_criticality, symbol_eval
-from singlecopy.asymptotics import _row_from_spectrum, scan
+from singlecopy.asymptotics import SCAN_FIELDS, _row_from_spectrum, scan
 from singlecopy.toeplitz import (
     ToeplitzCoeffs,
     block_spectrum,
@@ -24,7 +26,7 @@ from singlecopy.toeplitz import (
     table_spectrum,
     _fourier_pair,
 )
-from test_generated_tables import _model_from_laurent
+from test_generated_tables import _model_from_laurent, anisotropic_tables, z_circle
 
 XX2 = build_model("xx", a=2)
 ISING = build_model("ising")
@@ -518,7 +520,8 @@ SPECTRUM_ROUTES = {"xx": XX2, "ising": ISING, "xy-winding": WINDING,
 
 @pytest.mark.parametrize("name", list(SPECTRUM_ROUTES))
 def test_scan_rows_equal_the_dense_block_rows_bit_for_bit(name):
-    model, grid = SPECTRUM_ROUTES[name], (1, 2, 3, 64, 65, 255, 256)
+    # 512 takes the Krylov route, from the same window
+    model, grid = SPECTRUM_ROUTES[name], (1, 2, 3, 64, 65, 255, 256, 512)
     tab = coefficient_table(model, grid[-1])
     for L, row in zip(grid, scan(model, grid).rows):
         dense = block_spectrum(build_T(model, L, table=tab))
@@ -658,3 +661,115 @@ def test_fourfold_zero_is_refused_as_a_coefficient_accuracy_error():
         model = _model_from_laurent(np.r_[polynomial.polyfromroots([1, 1, 1, 1, r]), 0.0])
         with pytest.raises(CoefficientAccuracyError):
             coefficient_table(model, 1)
+
+
+# --- the Krylov route past the crossover -------------------------------------
+
+def _dense_spectrum(window):
+    """The dense route of a coefficient window, at any length."""
+    with mock.patch.object(toeplitz, "_KRYLOV_L", math.inf):
+        return toeplitz._window_spectrum(window)
+
+
+def _fields(spec):
+    row = _row_from_spectrum(spec)
+    return [getattr(row, name) for name in SCAN_FIELDS]
+
+
+def _same_bytes(a, b):
+    return a.mu.tobytes() == b.mu.tobytes() and repr(dataclasses.replace(a, mu=None)) == repr(
+        dataclasses.replace(b, mu=None))
+
+
+@st.composite
+def closed_form_critical_models(draw):
+    kind = draw(st.sampled_from(["isotropic", "ising", "anisotropic"]))
+    if kind == "ising":
+        return ISING
+    if kind == "anisotropic":
+        return draw(anisotropic_tables(z_circle))[0]
+    roots = draw(st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=3))
+    model = _isotropic_with_roots(roots)
+    assume(len(classify_criticality(model).fermi_points) == 2 * len(roots))
+    return model
+
+
+# Tables with exact coefficients (the closed form): isotropic with 2-6 Fermi points,
+# ising, and anisotropic tables with every zero on the unit circle.
+@settings(max_examples=15, deadline=None)
+@given(closed_form_critical_models(), st.integers(toeplitz._KRYLOV_L, 2048))
+def test_krylov_route_matches_the_dense_route(model, L):
+    assume(classify_criticality(model).step_phase is not None)
+    try:
+        window = toeplitz._window(coefficient_table(model, L), L)
+    except CoefficientAccuracyError:
+        assume(False)
+    krylov, dense = toeplitz._window_spectrum(window), _dense_spectrum(window)
+    assert (krylov.method, dense.method) == ("krylov", "dense")
+    assert np.abs(krylov.mu - dense.mu).max() <= 1e-13
+    tol = dict.fromkeys(SCAN_FIELDS, 1e-10)
+    # the dense route rounds the ~L values near 1 to 1 - O(eps), which adds up to about
+    # 1e-10 of entropy at L = 2048; the Krylov route sets those its certificate resolves
+    # no further (within 4 L eps of 1) to 1
+    near_one = dense.mu[1 - dense.mu <= toeplitz._KRYLOV_ULPS * L * np.finfo(float).eps]
+    tol["entropy_bits"] += spectrum_from_singular_values(np.r_[near_one, 1.0]).entropy_bits
+    # a symmetric block's ln|det T| sums ln mu: the mu tolerance, propagated, bounds it
+    # (half-filled chains of odd L have a zero mode, and both routes give rounding there)
+    tol["ln_absdet_T"] += 1e-13 * np.sum(1 / np.maximum(dense.mu, 1e-300))
+    for name, a, b in zip(SCAN_FIELDS, _fields(krylov), _fields(dense)):
+        assert a == b or abs(a - b) <= tol[name]
+    if not np.array_equal(window, window[::-1]):
+        assert krylov.ln_absdet_T == np.linalg.slogdet(toeplitz._toeplitz(window))[1]
+
+
+def test_krylov_route_on_quadrature_tables_agrees_to_the_table_accuracy():
+    # a quadrature table is accurate to abs_tol = 1e-12, and the dense route's values
+    # near 1 spread by about that much: its entropy of the gapped xy chain drifts by
+    # 3.5e-10 from L=512 to 1024, where the Krylov route's moves by 1.5e-11
+    tab = coefficient_table(WINDING, 1024)
+    specs = []
+    for L in (512, 1024):
+        window = toeplitz._window(tab, L)
+        krylov, dense = toeplitz._window_spectrum(window), _dense_spectrum(window)
+        assert krylov.method == "krylov"
+        assert np.abs(krylov.mu - dense.mu).max() <= 1e-12
+        assert np.allclose(_fields(krylov), _fields(dense), rtol=1e-8, atol=1e-10)
+        assert krylov.ln_absdet_T == np.linalg.slogdet(toeplitz._toeplitz(window))[1]
+        specs.append(krylov)
+    assert specs[1].entropy_bits == pytest.approx(specs[0].entropy_bits, abs=1e-10)
+    assert specs[1].ln_alpha1 == pytest.approx(specs[0].ln_alpha1, abs=1e-10)
+
+
+def test_krylov_route_repeats_its_bytes():
+    window = toeplitz._window(coefficient_table(ISING, 724), 724)
+    first, second = toeplitz._window_spectrum(window), toeplitz._window_spectrum(window)
+    assert first.method == "krylov"
+    assert _same_bytes(first, second)
+
+
+@pytest.mark.parametrize("name", ["flat", "deflating", "noise"])
+def test_flat_spectra_fall_back_to_the_dense_route(name):
+    # "flat": every mu 1/2, trace of I - T T^T past the L/4 columns of the cap;
+    # "deflating": every mu 0.95, within it, but the Krylov space closes after one block;
+    # "noise": a random window, mu spread over [0, 1)
+    L = toeplitz._KRYLOV_L
+    window = np.zeros(2 * L - 1)
+    if name == "noise":
+        window = np.random.default_rng(5).standard_normal(2 * L - 1) / (4 * math.sqrt(L))
+    else:
+        window[L - 1] = {"flat": 0.5, "deflating": 0.95}[name]
+    assert toeplitz._krylov_mu(window) is None
+    spec = toeplitz._window_spectrum(window)
+    assert spec.method == "dense"
+    assert _same_bytes(spec, _dense_spectrum(window))
+
+
+def test_krylov_route_finds_exact_zero_singular_values():
+    # t_3 = 1 alone: T shifts by 3, so three mu are 0 and the rest 1
+    L = toeplitz._KRYLOV_L
+    window = np.zeros(2 * L - 1)
+    window[L + 2] = 1.0
+    spec = toeplitz._window_spectrum(window)
+    assert spec.method == "krylov"
+    assert np.abs(spec.mu - np.r_[np.ones(L - 3), np.zeros(3)]).max() <= 1e-13
+    assert spec.ln_absdet_T == -math.inf

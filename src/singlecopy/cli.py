@@ -16,8 +16,8 @@ from . import __version__
 from .asymptotics import SCAN_FIELDS, fit_log, geometric_grid, require_fit_rows, scan
 from .entangle import report
 from .errors import ModelError, ToolkitError
-from .model import build_model
-from .oracle import compare_oracle
+from .model import MODEL_KINDS, build_model
+from .oracle import ORACLE_PAIRS, compare_oracle
 from .serialize import dumps, scan_to_csv, to_dict
 
 EXIT_OK = 0
@@ -40,7 +40,7 @@ def _csv_floats(text):
 
 
 def _add_model_flags(p):
-    p.add_argument("--model", choices=("xx", "xy", "ising", "custom"), required=True)
+    p.add_argument("--model", choices=tuple(MODEL_KINDS), required=True)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--A", type=_csv_floats, default=None, metavar="v1,v2,...")
@@ -51,6 +51,13 @@ def _add_grid_flags(p):
     p.add_argument("--L-min", type=int, default=64)
     p.add_argument("--L-max", type=int, default=2048)
     p.add_argument("--per-octave", type=int, default=2)
+
+
+def _scan(model, args, fit=False):
+    grid = geometric_grid(args.L_min, args.L_max, args.per_octave)
+    if fit:
+        require_fit_rows(len(grid))     # before the scan, which a refused fit would waste
+    return scan(model, grid, progress=lambda msg: print(msg, file=sys.stderr))
 
 
 def build_parser() -> _Parser:
@@ -64,23 +71,27 @@ def build_parser() -> _Parser:
     p.add_argument("--with-ep", action="store_true")
     p.add_argument("--with-sectors", action="store_true")
     p.add_argument("--ep-dims", type=int, default=256)
+    p.set_defaults(call=lambda model, args: report(
+        model, args.L, with_Ep=args.with_ep, with_sectors=args.with_sectors, Ep_dims=args.ep_dims))
 
     p = subs.add_parser("scan", help="scan a geometric grid of block lengths")
     _add_model_flags(p)
     _add_grid_flags(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(call=_scan)
 
     p = subs.add_parser("fit", help="scan, then fit a quantity against log2(L)")
     _add_model_flags(p)
     _add_grid_flags(p)
     p.add_argument("--quantity", default="e1_cont_bits", choices=SCAN_FIELDS)
+    p.set_defaults(call=lambda model, args: fit_log(_scan(model, args, fit=True), args.quantity))
 
     p = subs.add_parser("oracle", help="cross-validate Gaussian vs exact methods")
     _add_model_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--pair", choices=("gaussian-vs-ed", "gaussian-vs-thermodynamic"),
-                   default="gaussian-vs-ed")
+    p.add_argument("--pair", choices=ORACLE_PAIRS, default=ORACLE_PAIRS[0])
+    p.set_defaults(call=lambda model, args: compare_oracle(model, args.n, args.L, args.pair))
 
     # each subcommand takes only the flags it reads
     for p in subs.choices.values():
@@ -88,65 +99,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _model_from_args(args):
-    return build_model(args.model, a=args.a, gamma=args.gamma, A=args.A, B=args.B)
-
-
-def _scan_from_args(args, fit=False):
-    model = _model_from_args(args)
-    grid = geometric_grid(args.L_min, args.L_max, args.per_octave)
-    if fit:
-        require_fit_rows(len(grid))     # before the scan, which a refused fit would waste
-    return scan(model, grid, progress=lambda msg: print(msg, file=sys.stderr))
-
-
-def emit(result, out_path, fmt: str = "json") -> None:
-    """Serialize one result dataclass to its destination (CSV, which only
-    ``scan`` accepts, for a scan series)."""
-    text = scan_to_csv(result) if fmt == "csv" else dumps(to_dict(result))
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-
-
-def _cmd_analyze(args):
-    rep = report(_model_from_args(args), args.L, with_Ep=args.with_ep,
-                 with_sectors=args.with_sectors, Ep_dims=args.ep_dims)
-    emit(rep, args.out)
-    return EXIT_OK
-
-
-def _cmd_scan(args):
-    emit(_scan_from_args(args), args.out, args.format)
-    return EXIT_OK
-
-
-def _cmd_fit(args):
-    emit(fit_log(_scan_from_args(args, fit=True), args.quantity), args.out)
-    return EXIT_OK
-
-
-def _cmd_oracle(args):
-    emit(compare_oracle(_model_from_args(args), args.n, args.L, args.pair), args.out)
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "scan": _cmd_scan,
-    "fit": _cmd_fit,
-    "oracle": _cmd_oracle,
-}
-
-
 def run(argv) -> int:
-    """Parse ``argv`` (without the program name) and execute one subcommand."""
+    """Parse ``argv`` (without the program name), make the subcommand's one library
+    call and write its result as JSON (CSV, which only ``scan`` accepts, for a scan)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.subcommand](args)
+        model = build_model(args.model, a=args.a, gamma=args.gamma, A=args.A, B=args.B)
+        result = args.call(model, args)
+        text = scan_to_csv(result) if vars(args).get("format") == "csv" else dumps(to_dict(result))
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        return EXIT_OK
     except (UsageError, ModelError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -134,35 +134,33 @@ def _couplings(name: str, values) -> tuple[float, ...]:
     return tuple(arr.tolist())
 
 
+MODEL_KINDS = {"xx": {"gamma": 0.0}, "xy": {}, "ising": {"a": 1.0, "gamma": 1.0}, "custom": None}
+"""Model kinds, in ``--model`` order: the ``(a, gamma)`` an xy-family preset fixes, or None."""
+
+
 def build_model(kind: str = "custom", *, a=None, gamma=None, A=None, B=None) -> ModelSpec:
     """Construct a validated :class:`ModelSpec`.
 
     Presets expand as ``xy(a, gamma) -> w=1, A=(-1, a/2), B=(-gamma*a/4,)``,
-    ``xx(a) = xy(a, 0)`` and ``ising = xy(1, 1)``: ``xy`` reads ``a`` and
-    ``gamma``, ``xx`` only ``a`` and ``ising`` neither.  ``custom`` reads only
-    the coupling arrays ``A`` (at least ``A_0``) and ``B`` (zeros of the right
-    length by default).  A parameter the kind does not read is refused, not
-    ignored.
+    ``xx(a) = xy(a, 0)`` and ``ising = xy(1, 1)`` (:data:`MODEL_KINDS`): ``xy``
+    reads ``a`` and ``gamma``, ``xx`` only ``a`` and ``ising`` neither.
+    ``custom`` reads only the coupling arrays ``A`` (at least ``A_0``) and ``B``
+    (zeros of the right length by default).  A parameter the kind does not
+    read is refused, not ignored.
     """
-    reads = {"ising": (), "xx": ("a",), "xy": ("a", "gamma"), "custom": ("A", "B")}
-    if kind not in reads:
+    if kind not in MODEL_KINDS:
         raise ModelError(f"unknown model kind {kind!r}")
+    fixed = MODEL_KINDS[kind]
+    reads = ("A", "B") if fixed is None else [n for n in ("a", "gamma") if n not in fixed]
     unread = [name for name, value in (("a", a), ("gamma", gamma), ("A", A), ("B", B))
-              if value is not None and name not in reads[kind]]
+              if value is not None and name not in reads]
     if unread:
         raise ModelError(f"the {kind} model does not read {' or '.join(unread)}")
-    if kind == "ising":
-        Ac, Bc = _xy_couplings(1.0, 1.0)
-        return ModelSpec("ising", 1, Ac, Bc, 1.0, 1.0)
-    if kind == "xx":
-        av = _require_param("a", a)
-        Ac, Bc = _xy_couplings(av, 0.0)
-        return ModelSpec("xx", 1, Ac, Bc, av, 0.0)
-    if kind == "xy":
-        av = _require_param("a", a)
-        gv = _require_param("gamma", gamma)
+    if fixed is not None:
+        av, gv = (fixed[n] if n in fixed else _require_param(n, v)
+                  for n, v in (("a", a), ("gamma", gamma)))
         Ac, Bc = _xy_couplings(av, gv)
-        return ModelSpec("xy", 1, Ac, Bc, av, gv)
+        return ModelSpec(kind, 1, Ac, Bc, av, gv)
     At = () if A is None else _couplings("A", A)
     if not At:
         raise ModelError("custom model needs the symmetric couplings A_0 .. A_w, at least A_0")

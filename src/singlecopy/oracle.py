@@ -194,6 +194,7 @@ class OracleComparison:
 
 
 _TOP = 64
+ORACLE_PAIRS = ("gaussian-vs-ed", "gaussian-vs-thermodynamic")   # the first is the default
 
 
 def _top64(values: np.ndarray) -> np.ndarray:
@@ -205,7 +206,7 @@ def _top64(values: np.ndarray) -> np.ndarray:
 
 def compare_oracle(model: ModelSpec, n: int, L: int,
                    method_pair: str = "gaussian-vs-ed") -> OracleComparison:
-    """Run two methods for the same block and report their spectral distance."""
+    """Run one pair of :data:`ORACLE_PAIRS` on one block and report its spectral distance."""
     if method_pair == "gaussian-vs-ed":
         evals, psi = _ed_ground(model, n)      # first: it refuses n > 12 before an SVD of size 2n
         gauss = finite_gaussian_ground(model, n, L)

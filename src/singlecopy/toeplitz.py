@@ -47,6 +47,7 @@ _RESIDUE_TOL = 1e-12      # closed form: largest imaginary part of a t_l
 _KRYLOV_L = 512           # blocks this long first try the Krylov route (crossover in CHANGES.md)
 _KRYLOV_BLOCK = 4         # Krylov block size: start vectors, new vectors per product
 _KRYLOV_ULPS = 4          # Krylov certificate: trace of I - T T^T left over <= 4 L eps
+_KRYLOV_STALL = 0.9       # an uncertified leftover above 0.9 of its value 3 blocks back: give up
 
 
 @dataclass(frozen=True)
@@ -332,8 +333,9 @@ def _krylov_mu(window: np.ndarray) -> np.ndarray | None:
     of ``I - T T^T``, ``B`` captures ``dim B - ||HB||_F^2``; past a leftover of ``4 L eps``
     (and three more blocks) each ``mu`` outside ``B`` is set to 1.  The others are the
     singular values of ``HB``, those below ``1/sqrt 2`` refined to the Ritz values of ``H``
-    on their span.  None if the trace passes ``L/4``, or the basis closes or reaches ``L/4``
-    columns, uncertified.
+    on their span.  None if the trace passes ``L/4``, or if, uncertified, the basis closes,
+    reaches ``L/4`` columns or stalls (a leftover above ``_KRYLOV_STALL`` of its value three
+    blocks back).
     """
     L = (window.size + 1) // 2
     total = L - math.fsum(((L - np.abs(np.arange(1 - L, L))) * window * window).tolist())
@@ -344,7 +346,7 @@ def _krylov_mu(window: np.ndarray) -> np.ndarray | None:
     w = fft.rfft(window, n)[:, None]
     Q = np.linalg.qr(np.mod(np.arange(L * _KRYLOV_BLOCK, dtype=float).reshape(L, -1) ** 2
                             * 0.6180339887498949, 1.0) - 0.5)[0]     # quadratic Weyl sequence
-    blocks, cols, captured, passed = [], [], 0.0, 0
+    blocks, cols, captured, passed, leftover = [], [], 0.0, 0, []
 
     def project(Z):                  # Z -= B B^T Z twice; returns the summed B^T Z
         coef = [0.0] * len(blocks)
@@ -359,8 +361,11 @@ def _krylov_mu(window: np.ndarray) -> np.ndarray | None:
         blocks.append(Q)
         Y = fft.irfft(fft.rfft(Q, n, axis=0) * w, n, axis=0)[2 * L - 2:L - 2:-1].copy()  # HQ
         captured += Q.shape[1] - float(np.vdot(Y, Y))
+        leftover.append(total - captured)
+        passed += leftover[-1] <= _KRYLOV_ULPS * L * _EPS
+        if not passed and len(leftover) > 3 and leftover[-1] > _KRYLOV_STALL * leftover[-4]:
+            return None
         C = project(Y)
-        passed += total - captured <= _KRYLOV_ULPS * L * _EPS
         U, s, Vt = np.linalg.svd(Y, full_matrices=False)
         keep = s > math.sqrt(L) * _EPS   # deflation: drop directions H leaves invariant
         if not keep.any() or len(C) + keep.sum() > L // 4:

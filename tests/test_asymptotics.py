@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import spence
+from scipy.special import ellipk, spence
 
 from singlecopy.errors import ModelError, ToolkitError
 from singlecopy.model import build_model
@@ -256,3 +257,54 @@ def test_integral_check_matches_dilog_oracle():
     expected = (4.0 / math.pi ** 2) * dilog_half_interval()
     assert value == pytest.approx(expected, abs=1e-10)
     assert value == pytest.approx(-1.0 / 6.0, abs=1e-9)
+
+
+# --- the L -> infinity limit of gapped xy chains -----------------------------
+
+def gapped_xy_limits(a: float, gamma: float) -> tuple[float, float]:
+    """Closed-form L -> infinity ``(entropy_bits, e1_cont_bits)`` of the gapped xy(a, gamma).
+
+    xy(a, gamma) is the XY chain at field h = 1/a.  Its block's mu are tanh(eps_j / 2)
+    with eps_j multiples of eps = pi K(k')/K(k) (corner transfer matrix: Peschel,
+    J. Stat. Mech. P12005 (2004); Its, Jin & Korepin, J. Phys. A 38, 2975 (2005)):
+    in the ordered phase (a > 1) one eps_j = 0 and each 2j eps twice, in the
+    disordered phase (a < 1) each (2j+1) eps twice.  scipy's ``ellipk`` takes m = k^2.
+    """
+    h = 1.0 / a
+    if h > 1.0:
+        k2 = gamma ** 2 / (h * h + gamma ** 2 - 1.0)
+    elif h * h + gamma ** 2 < 1.0:
+        k2 = (1.0 - h * h - gamma ** 2) / (1.0 - h * h)
+    else:
+        k2 = (h * h + gamma ** 2 - 1.0) / gamma ** 2
+    eps = math.pi * float(ellipk(1.0 - k2) / ellipk(k2))
+    j = np.arange(1, math.ceil(80.0 / eps) + 1)        # 1 - mu = 2/(e^eps_j + 1) < 1e-34 past
+    e = 2 * j * eps if a > 1.0 else (2 * j - 1) * eps
+    ln_plus = np.log1p(np.exp(-e))                      # -ln (1 + mu)/2, then -ln (1 - mu)/2
+    ln_minus = e + ln_plus
+    entropy = 2.0 * np.sum(ln_plus / (1.0 + np.exp(-e)) + ln_minus / (1.0 + np.exp(e)))
+    e1 = 2.0 * np.sum(ln_plus)
+    zero_mode = 1.0 if a > 1.0 else 0.0                 # mu = 0: one bit of each
+    return zero_mode + entropy / math.log(2.0), zero_mode + e1 / math.log(2.0)
+
+
+def test_gapped_xy_limit_values():
+    s_inf, e1_inf = gapped_xy_limits(2.0, 0.5)
+    assert s_inf == pytest.approx(1.0859516554, abs=1e-10)
+    assert e1_inf == pytest.approx(1.0134672030, abs=1e-10)
+
+
+# a < 1 and both sides of h^2 + gamma^2 = 1 for a > 1; from L = 128 the rows sit
+# within 2.6e-11 (entropy) and 7.8e-13 (e1) of the limits over a grid of this domain
+@settings(max_examples=10, deadline=None)
+@given(st.one_of(st.floats(0.2, 0.7), st.floats(1.3, 5.0)), st.floats(0.3, 1.0))
+@example(2.0, 0.5)
+@example(2.7712, 0.6055)
+@example(0.7, 0.5)
+@example(1.5, 0.9)
+@example(3.0, 0.3)
+def test_gapped_xy_rows_reach_their_closed_form_limit(a, gamma):
+    s_inf, e1_inf = gapped_xy_limits(a, gamma)
+    for row in scan(build_model("xy", a=a, gamma=gamma), (128, 256, 512)).rows:
+        assert abs(row.entropy_bits - s_inf) <= 1e-10
+        assert abs(row.e1_cont_bits - e1_inf) <= 1e-11

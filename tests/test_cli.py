@@ -211,6 +211,23 @@ def test_numerical_failure_exit_2(capsys):
 XX = ["--model", "xx", "--a", "2"]
 
 
+def test_model_kinds_and_oracle_pairs_come_from_the_library(capsys):
+    import singlecopy.cli as cli
+    from singlecopy.model import MODEL_KINDS
+    from singlecopy.oracle import ORACLE_PAIRS
+
+    subs = cli.build_parser()._subparsers._group_actions[0].choices
+    choices = {name: {a.dest: a.choices for a in sub._actions} for name, sub in subs.items()}
+    assert tuple(MODEL_KINDS) == ("xx", "xy", "ising", "custom")
+    assert all(tuple(c["model"]) == tuple(MODEL_KINDS) for c in choices.values())
+    assert tuple(choices["oracle"]["pair"]) == ORACLE_PAIRS
+    for sub in subs:
+        code, out, err = run_cli([sub, "--model", "foo"], capsys)
+        assert code == 1 and out == "" and "invalid choice: 'foo'" in err
+    code, out, err = run_cli(["oracle", *XX, "--n", "6", "--L", "3", "--pair", "foo"], capsys)
+    assert code == 1 and out == "" and "invalid choice: 'foo'" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["analyze", *XX, "--L", "0"], "block length L must be in [1, 4096]"),
     (["analyze", *XX, "--L", "4097"], "block length L must be in [1, 4096]"),

@@ -764,6 +764,28 @@ def test_flat_spectra_fall_back_to_the_dense_route(name):
     assert _same_bytes(spec, _dense_spectrum(window))
 
 
+def test_a_stalled_krylov_attempt_gives_up_after_four_blocks(monkeypatch):
+    # t_0 = 0.9, t_{+-1} = 0.05: every mu in [0.8, 1] and a trace of I - T T^T of
+    # 0.185 L, under the L/4 cap, so only the stall rule ends the attempt; its leftover
+    # keeps 0.99 of its value over three blocks, where the model tables measured keep at
+    # most 0.8 (sixteen Fermi points) and the presets at most 0.14
+    L = 2048
+    window = np.zeros(2 * L - 1)
+    window[L - 2:L + 1] = (0.05, 0.9, 0.05)
+    products = []
+    irfft = np.fft.irfft
+
+    def counted(*args, **kwargs):
+        products.append(1)
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    spec = toeplitz._window_spectrum(window)
+    assert len(products) <= 4
+    assert spec.method == "dense"
+    assert _same_bytes(spec, _dense_spectrum(window))
+
+
 def test_krylov_route_finds_exact_zero_singular_values():
     # t_3 = 1 alone: T shifts by 3, so three mu are 0 and the rest 1
     L = toeplitz._KRYLOV_L

@@ -123,8 +123,8 @@ def probabilistic_Ep(spectrum, M_max: int = MAX_EP_DIMS, tail_weight: float = 0.
     L=256 with 1024 dims). Optimality is verified through the dual solution.
     """
     M_max = size(M_max, "M_max", MAX_EP_DIMS, InvalidSpectrumError)
-    if tail_weight < -1e-12:
-        raise InvalidSpectrumError("tail_weight must be non-negative")
+    if not (math.isfinite(tail_weight) and tail_weight >= -1e-12):     # NaN fails too
+        raise InvalidSpectrumError("tail_weight must be finite and non-negative")
     tail_weight = max(float(tail_weight), 0.0)
     vals = _validated(spectrum, total=1.0 - tail_weight)
     d = vals.size
@@ -172,7 +172,7 @@ def leading_eigenvalues(mu, r: int) -> np.ndarray:
         cost = np.log1p(mu) - np.log1p(-mu)
     cost = np.sort(cost[np.isfinite(cost)])
     m = cost.size
-    want = r if L >= 63 else min(r, 2 ** L)
+    want = min(r, 2 ** L)
 
     sums = [0.0]
     heap = [(float(cost[0]), 0)] if m else []
@@ -282,7 +282,7 @@ def report_from_spectrum(model: ModelSpec, spec: BlockSpectrum, *,
     if with_Ep:
         vals = leading_eigenvalues(spec.mu, Ep_dims)
         tail = max(0.0, 1.0 - float(vals.sum()))
-        truncated = spec.L >= 63 or 2 ** spec.L > vals.size
+        truncated = 2 ** spec.L > vals.size
         ep = probabilistic_Ep(vals, M_max=Ep_dims, tail_weight=tail)
         ep_bits = ep.Ep_bits
         diagnostics["Ep_truncated"] = bool(truncated or ep.truncated)

@@ -4,9 +4,10 @@ Two independent routes to the reduced state of a centered block in a finite
 open chain:
 
 * ``finite_gaussian_ground`` takes the exact finite-n ground covariance as
-  the orthogonal polar factor of the 2n x 2n Majorana quadratic form, from
-  one SVD; zero modes are left at half filling, and the normal-mode gap,
-  which ``compare_oracle`` reports, is then 0 to rounding.
+  the orthogonal polar factor of the n x n coupling block ``X`` of the
+  Majorana quadratic form ``[[0, X], [-X^T, 0]]``, from one SVD; zero modes
+  are left at half filling, and the normal-mode gap, which
+  ``compare_oracle`` reports, is then 0 to rounding.
 * ``exact_diag_ground`` builds the sparse 2^n x 2^n Jordan-Wigner operator
   sum of the coupling table element by element from the occupation bits of
   the Fock states, solves each symmetry block (connected component)
@@ -28,7 +29,7 @@ import numpy as np
 
 from .entangle import leading_eigenvalues
 from .errors import DecompositionError, DegenerateGroundStateError, ModelError, size
-from .model import ModelSpec
+from .model import ModelSpec, _laurent
 from .toeplitz import (MAX_L, BlockSpectrum, coefficient_table, spectrum_from_singular_values,
                        table_spectrum)
 
@@ -37,23 +38,18 @@ _ORTHO_TOL = 1e-8
 _ED_GAP_TOL = 1e-8
 
 
-def chain_quadratic_form(model: ModelSpec, n: int) -> np.ndarray:
-    """Majorana quadratic form of the open chain (couplings cut at the edge).
+def _coupling_block(model: ModelSpec, n: int) -> np.ndarray:
+    """The n x n block ``X[j, k] = -c_{j-k}`` of the open chain's Majorana form.
 
-    The real skew-symmetric ``h`` of ``H = (i/4) m^T h m`` in the
-    interleaved Majorana layout ``(m_1, m_2, ..., m_{2n})``.
+    ``c_j`` are the Laurent coefficients of :func:`~singlecopy.model._laurent`,
+    cut at the chain's edges.  With the Majoranas in (even, odd) order, the
+    real skew-symmetric ``h`` of ``H = (i/4) m^T h m`` is ``[[0, X], [-X^T, 0]]``
+    (Lieb, Schultz & Mattis 1961).
     """
     n = size(n, "chain length n", math.inf)
-    h = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        for k in range(max(0, j - model.w), min(n, j + model.w + 1)):
-            d = j - k
-            a = model.A[abs(d)]
-            b = math.copysign(1.0, d) * model.B[abs(d) - 1] if d != 0 else 0.0
-            # a_j^dag A a_k and B (a_j^dag a_k^dag - a_j a_k) in Majorana form
-            h[2 * j, 2 * k + 1] = -a + 2.0 * b
-            h[2 * j + 1, 2 * k] = a + 2.0 * b
-    return h
+    d = np.subtract.outer(np.arange(n), np.arange(n))     # j - k
+    c = _laurent(model)
+    return np.where(np.abs(d) <= model.w, -c[np.clip(d, -model.w, model.w) + model.w], 0.0)
 
 
 def _block_offset(n: int, L: int) -> int:
@@ -63,24 +59,25 @@ def _block_offset(n: int, L: int) -> int:
 def _gaussian_block(model: ModelSpec, n: int, L: int):
     """(block spectrum, normal-mode gap) of the centered L-site block.
 
-    With ``h = U diag(s) V^T``, the ground covariance is the polar factor
-    ``U V^T`` restricted to the modes with ``s >= _ZERO_MODE_TOL``; the
-    others (zero modes) get covariance 0, i.e. half filling.  The singular
-    values of ``h`` are the normal-mode energies, each twice, and the gap is
-    the smallest, 0 to rounding when there are zero modes.
+    With ``X = U diag(s) V^T``, the ground covariance is ``[[0, P], [-P^T, 0]]``
+    with the polar factor ``P = U V^T`` restricted to the modes with
+    ``s >= _ZERO_MODE_TOL``; the others (zero modes) get covariance 0, i.e.
+    half filling.  The block's ``mu`` are the singular values of the centered
+    L x L square of ``P`` (Peschel 2003).  The singular values of ``X`` are the
+    normal-mode energies, and the gap is the smallest, 0 to rounding when
+    there are zero modes.
     """
     if not (1 <= size(L, "block length L") <= n <= MAX_L):
         raise ModelError(f"need 1 <= L <= n <= {MAX_L}")
-    import scipy.linalg     # deferred, as every scipy import: the package imports on numpy alone
-    U, s, Vt = scipy.linalg.svd(chain_quadratic_form(model, n))
-    keep = s >= _ZERO_MODE_TOL
-    gamma = U[:, keep] @ Vt[keep]
-    gamma = 0.5 * (gamma - gamma.T)     # the two factors round independently
-    if np.abs(gamma @ gamma.T - U[:, keep] @ U[:, keep].T).max() > _ORTHO_TOL:
+    U, s, Vt = np.linalg.svd(_coupling_block(model, n))
+    zero = s < _ZERO_MODE_TOL
+    U[:, zero] = 0.0
+    Vt[zero] = 0.0
+    P = U @ Vt
+    if max(np.abs(P @ P.T - U @ U.T).max(), np.abs(P.T @ P - Vt.T @ Vt).max()) > _ORTHO_TOL:
         raise DecompositionError("polar factor is not orthogonal on the kept modes")
     o = _block_offset(n, L)
-    sub = gamma[2 * o:2 * (o + L), 2 * o:2 * (o + L)]
-    mu = np.linalg.svd(sub, compute_uv=False)[0::2]   # each mu appears twice
+    mu = np.linalg.svd(P[o:o + L, o:o + L], compute_uv=False)
     return spectrum_from_singular_values(mu), float(s.min())
 
 
@@ -95,7 +92,7 @@ def fock_hamiltonian(model: ModelSpec, n: int):
     The Jordan-Wigner operator sum ``A_0 sum_j c_j^dag c_j + sum_{j != k}
     a c_j^dag c_k + b (c_j^dag c_k^dag - c_j c_k)`` over the coupling table,
     with ``a = A_|j-k|`` and ``b = sign(j-k) B_|j-k|``; it does not go
-    through ``chain_quadratic_form``.  Every element is read from the bits of
+    through ``_coupling_block``.  Every element is read from the bits of
     the Fock states, site 0 the most significant bit (so a centered block is a
     contiguous tensor factor): the diagonal is ``A_0`` times the occupation
     number, and a pair ``j < k = j + d`` flips both bits, with ``A_d`` when
@@ -208,7 +205,7 @@ def compare_oracle(model: ModelSpec, n: int, L: int,
                    method_pair: str = "gaussian-vs-ed") -> OracleComparison:
     """Run one pair of :data:`ORACLE_PAIRS` on one block and report its spectral distance."""
     if method_pair == "gaussian-vs-ed":
-        evals, psi = _ed_ground(model, n)      # first: it refuses n > 12 before an SVD of size 2n
+        evals, psi = _ed_ground(model, n)      # first: it refuses n > 12 before an SVD of size n
         gauss = finite_gaussian_ground(model, n, L)
         gap = float(evals[1] - evals[0])
         b = _top64(_reduced_spectrum(psi, n, L))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import ellipk, spence
 
 from singlecopy.errors import ModelError, ToolkitError
-from singlecopy.model import build_model
+from singlecopy.model import build_model, classify_criticality
 from singlecopy.toeplitz import spectrum_from_singular_values
 from singlecopy.asymptotics import (
     ScanRow,
@@ -288,6 +289,26 @@ def gapped_xy_limits(a: float, gamma: float) -> tuple[float, float]:
     return zero_mode + entropy / math.log(2.0), zero_mode + e1 / math.log(2.0)
 
 
+UPSILON_1 = 0.4950179081      # Jin & Korepin, J. Stat. Phys. 116, 79 (2004)
+
+
+def fisher_hartwig_entropy(model, L: int) -> float:
+    """Leading L -> infinity entropy in bits of a critical chain's L-site block.
+
+    An isotropic chain's symbol is a step that jumps at its Fermi points k_1 < ... < k_n,
+    and Fisher-Hartwig gives ``S = (n/6) ln L - (1/3) sum_{r<s} (-1)^{s-r}
+    ln|2 sin((k_r - k_s)/2)| + (n/2) Upsilon_1`` nats (Jin & Korepin 2004).  The
+    critical Ising chain, whose one Fermi point turns the symbol's phase by pi, has
+    ``S - (1/6) ln L -> (1/3) ln 2 + Upsilon_1 / 2`` nats, 0.6904132739 bits.
+    """
+    k = classify_criticality(model).fermi_points
+    if model.label == "ising":
+        return (math.log(L) / 6 + math.log(2) / 3 + UPSILON_1 / 2) / math.log(2)
+    pairs = sum((-1) ** (s - r) * math.log(abs(2 * math.sin((k[r] - k[s]) / 2)))
+                for r, s in itertools.combinations(range(len(k)), 2))
+    return (len(k) / 6 * math.log(L) - pairs / 3 + len(k) / 2 * UPSILON_1) / math.log(2)
+
+
 def test_gapped_xy_limit_values():
     s_inf, e1_inf = gapped_xy_limits(2.0, 0.5)
     assert s_inf == pytest.approx(1.0859516554, abs=1e-10)
@@ -308,3 +329,17 @@ def test_gapped_xy_rows_reach_their_closed_form_limit(a, gamma):
     for row in scan(build_model("xy", a=a, gamma=gamma), (128, 256, 512)).rows:
         assert abs(row.entropy_bits - s_inf) <= 1e-10
         assert abs(row.e1_cont_bits - e1_inf) <= 1e-11
+
+
+# The residuals fall about as L^-2 (2.8e-5 bits for the six-point table at L = 256, so the
+# check starts at 1024); dropping the pair term would move xx(2) by 0.26 bits.
+@pytest.mark.parametrize("model", [
+    XX2, build_model("xx", a=1.5), build_model("custom", A=(0.1, -0.3, 0.2, -0.9)),
+    build_model("ising"),
+], ids=["xx2", "xx1.5", "six-fermi-points", "ising"])
+def test_long_critical_blocks_reach_the_fisher_hartwig_entropy(model):
+    Ls = (1024, 2048, 4096)
+    residual = [row.entropy_bits - fisher_hartwig_entropy(model, row.L)
+                for row in scan(model, Ls).rows]
+    assert max(abs(r) for r in residual) <= 3e-6
+    assert abs(residual[-1]) <= abs(residual[0]) / 4

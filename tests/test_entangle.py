@@ -143,6 +143,13 @@ def test_ep_truncated_is_lower_bound():
     assert trunc.Ep_bits <= exact.Ep_bits + 1e-9
 
 
+@pytest.mark.parametrize("tail", [math.nan, math.inf, -math.inf, -1e-6])
+def test_ep_refuses_a_tail_weight_that_is_not_finite_and_non_negative(tail):
+    # refused before the linear program, which would raise a plain ValueError on a NaN
+    with pytest.raises(InvalidSpectrumError, match="tail_weight must be finite and non-negative"):
+        probabilistic_Ep([0.5, 0.3, 0.2], tail_weight=tail)
+
+
 # --- leading product eigenvalues -------------------------------------------
 
 @settings(max_examples=100, deadline=None)

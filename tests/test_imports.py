@@ -1,11 +1,12 @@
-"""The package imports, scans, fits and analyzes on numpy alone.
+"""The package imports, scans, fits, analyzes and runs the finite-chain oracle
+(``oracle --pair gaussian-vs-thermodynamic``) on numpy alone.
 
 scipy is loaded only by ``analyze --with-ep`` (the HiGHS linear program) and
-by the oracle, the coefficient quadrature's thread pool and Gauss-Legendre
-rule only by a table that takes quadrature, and ``numpy.fft`` only by a
-block long enough for the Krylov route; no scan loads ``numpy.random``. Each
-check runs in a fresh interpreter, since this test process has scipy loaded
-already.
+by the exact-diagonalization pair ``oracle --pair gaussian-vs-ed``, the
+coefficient quadrature's thread pool and Gauss-Legendre rule only by a table
+that takes quadrature, and ``numpy.fft`` only by a block long enough for the
+Krylov route; no scan loads ``numpy.random``. Each check runs in a fresh
+interpreter, since this test process has scipy loaded already.
 """
 
 import json
@@ -58,8 +59,10 @@ MODELS = {
 def test_import_scan_fit_analyze_load_no_scipy(model):
     grid = ["--L-min", "8", "--L-max", "32"]
     results = probe([["scan", *model, *grid], ["fit", *model, *grid],
-                     ["analyze", *model, "--L", "24"]])
-    assert [r["code"] for r in results] == [0, 0, 0, 0]
+                     ["analyze", *model, "--L", "24"],
+                     ["oracle", *model, "--n", "40", "--L", "8",
+                      "--pair", "gaussian-vs-thermodynamic"]])
+    assert [r["code"] for r in results] == [0, 0, 0, 0, 0]
     assert [r for r in results if r["loaded"]] == []
 
 

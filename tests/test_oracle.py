@@ -14,7 +14,6 @@ from singlecopy.errors import DegenerateGroundStateError, ModelError
 from singlecopy.model import build_model
 from singlecopy.toeplitz import block_spectrum, build_T
 from singlecopy.oracle import (
-    chain_quadratic_form,
     compare_oracle,
     exact_diag_ground,
     finite_gaussian_ground,
@@ -33,12 +32,6 @@ DEGENERATE = {
     "w2-n9": (build_model("custom", A=(-1, -0.5, -0.5)), 9),
     "w3b-n5": (build_model("custom", A=(1, 0, -0.5, -0.5)), 5),
 }
-
-
-def test_quadratic_form_is_skew():
-    for model in (XX2, ISING, XY):
-        h = chain_quadratic_form(model, 7)
-        assert np.array_equal(h, -h.T)
 
 
 def test_product_state_chain():
@@ -67,10 +60,10 @@ def test_fock_spectrum_equals_subset_sums(n):
     eps = np.linalg.eigvalsh(hop)
     assert np.abs(many_body - _subset_sums(eps)).max() < 1e-9
     # any B: excitation energies are the subset sums of the normal-mode
-    # energies, the singular values of the quadratic form (each twice)
+    # energies, the singular values of the coupling block X
     for model in (XX2, ISING, XY, W2):
         many_body = np.sort(np.linalg.eigvalsh(fock_hamiltonian(model, n).toarray()))
-        modes = np.linalg.svd(chain_quadratic_form(model, n), compute_uv=False)[0::2]
+        modes = np.linalg.svd(oracle._coupling_block(model, n), compute_uv=False)
         assert np.abs(many_body - many_body[0] - _subset_sums(modes)).max() < 1e-9
 
 
@@ -129,6 +122,67 @@ def test_fock_hamiltonian_equals_kron_reference(model, n):
 @pytest.mark.parametrize("model", [XX2, ISING, XY, W2], ids=["xx2", "ising", "xy", "w2"])
 def test_fock_hamiltonian_equals_kron_reference_at_12_sites(model):
     _assert_equals_kron_reference(model, 12)
+
+
+def _chain_quadratic_form(model, n):
+    """The Majorana quadratic form of the open chain, filled pair by pair from the
+    coupling table: the real skew-symmetric ``h`` of ``H = (i/4) m^T h m`` in the
+    interleaved layout ``(m_1, m_2, ..., m_{2n})``, the reference for
+    ``_coupling_block``."""
+    h = np.zeros((2 * n, 2 * n))
+    for j in range(n):
+        for k in range(max(0, j - model.w), min(n, j + model.w + 1)):
+            d = j - k
+            a = model.A[abs(d)]
+            b = math.copysign(1.0, d) * model.B[abs(d) - 1] if d != 0 else 0.0
+            # a_j^dag A a_k and B (a_j^dag a_k^dag - a_j a_k) in Majorana form
+            h[2 * j, 2 * k + 1] = -a + 2.0 * b
+            h[2 * j + 1, 2 * k] = a + 2.0 * b
+    return h
+
+
+def _majorana_covariance(model, n):
+    """(ground covariance, gap) from the 2n x 2n form: the polar factor of ``h`` on
+    its kept modes, skewed again since its two factors round independently."""
+    U, s, Vt = scipy.linalg.svd(_chain_quadratic_form(model, n))
+    keep = s >= oracle._ZERO_MODE_TOL
+    gamma = U[:, keep] @ Vt[keep]
+    return 0.5 * (gamma - gamma.T), float(s.min())
+
+
+def _majorana_block_mu(gamma, L):
+    """``mu`` of the centered L-site block: every second singular value of its square."""
+    o = (gamma.shape[0] // 2 - L) // 2
+    sub = gamma[2 * o:2 * (o + L), 2 * o:2 * (o + L)]
+    return np.clip(np.linalg.svd(sub, compute_uv=False)[0::2], 0.0, 1.0)
+
+
+def _assert_matches_majorana_form(model, n, Ls):
+    X = oracle._coupling_block(model, n)
+    h = np.zeros((2 * n, 2 * n))
+    h[0::2, 1::2], h[1::2, 0::2] = X, -X.T      # [[0, X], [-X^T, 0]] in (even, odd) order
+    assert np.array_equal(h, _chain_quadratic_form(model, n))
+    # a polar factor rounds by about eps |X| / (its smallest kept s), so the bound is
+    # 1e-12 unless that s is below 2e-4 |X|, as for a split boundary pair
+    s = np.linalg.svd(X, compute_uv=False)
+    kept = s[s >= oracle._ZERO_MODE_TOL]
+    tol = max(1e-12, np.finfo(float).eps * s[0] / kept[-1]) if kept.size else 1e-12
+    gamma, ref_gap = _majorana_covariance(model, n)
+    for L in Ls:
+        spectrum, gap = oracle._gaussian_block(model, n, L)
+        assert np.abs(spectrum.mu - _majorana_block_mu(gamma, L)).max() <= tol
+        assert abs(gap - ref_gap) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupling_tables(), st.integers(1, 60), st.data())
+def test_coupling_block_is_the_majorana_form(model, n, data):
+    _assert_matches_majorana_form(model, n, [data.draw(st.integers(1, n)), n])
+
+
+@pytest.mark.parametrize("model", [XX2, ISING, XY], ids=["xx2", "ising", "xy"])
+def test_coupling_block_is_the_majorana_form_at_400_sites(model):
+    _assert_matches_majorana_form(model, 400, (1, 8, 64))
 
 
 def test_ground_vector_has_single_occupation_sector():
@@ -276,7 +330,7 @@ def test_input_validation():
 
 
 def test_ed_past_12_sites_is_refused_before_the_gaussian_route(monkeypatch):
-    # n = 4000 would first take an SVD of a 8000 x 8000 quadratic form
+    # n = 4000 would first take an SVD of a 4000 x 4000 coupling block
     def computed(*args, **kwargs):
         raise AssertionError("the Gaussian route ran before the ED size check")
 

@@ -10,9 +10,10 @@ open chain:
   ``compare_oracle`` reports, is then 0 to rounding.
 * ``exact_diag_ground`` builds the sparse 2^n x 2^n Jordan-Wigner operator
   sum of the coupling table element by element from the occupation bits of
-  the Fock states, solves each symmetry block (connected component)
-  densely for its two lowest states, and reduces the ground vector directly;
-  it refuses degenerate ground states.
+  the Fock states, splits each symmetry block (connected component) into the
+  even and odd halves of the chain's reflection, solves each half densely
+  for its two lowest states, and reduces the ground vector directly; it
+  refuses degenerate ground states.
 
 Open boundaries keep the fermionic picture exact (no boundary strings or
 parity corrections); blocks are centered to suppress edge effects, and the
@@ -61,16 +62,17 @@ def _gaussian_block(model: ModelSpec, n: int, L: int):
 
     With ``X = U diag(s) V^T``, the ground covariance is ``[[0, P], [-P^T, 0]]``
     with the polar factor ``P = U V^T`` restricted to the modes with
-    ``s >= _ZERO_MODE_TOL``; the others (zero modes) get covariance 0, i.e.
-    half filling.  The block's ``mu`` are the singular values of the centered
-    L x L square of ``P`` (Peschel 2003).  The singular values of ``X`` are the
-    normal-mode energies, and the gap is the smallest, 0 to rounding when
-    there are zero modes.
+    ``s > _ZERO_MODE_TOL * max(s)``; the others (zero modes) get covariance 0,
+    i.e. half filling.  The cut is relative, so a scaled chain, which has the
+    same ground state, gets the same spectrum.  The block's ``mu`` are the
+    singular values of the centered L x L square of ``P`` (Peschel 2003).
+    The singular values of ``X`` are the normal-mode energies, and the gap is
+    the smallest, 0 to rounding when there are zero modes.
     """
     if not (1 <= size(L, "block length L") <= n <= MAX_L):
         raise ModelError(f"need 1 <= L <= n <= {MAX_L}")
     U, s, Vt = np.linalg.svd(_coupling_block(model, n))
-    zero = s < _ZERO_MODE_TOL
+    zero = s <= _ZERO_MODE_TOL * s.max()
     U[:, zero] = 0.0
     Vt[zero] = 0.0
     P = U @ Vt
@@ -129,31 +131,50 @@ def fock_hamiltonian(model: ModelSpec, n: int):
 def _ed_ground(model: ModelSpec, n: int):
     """(two lowest eigenvalues, ground vector) of the Fock-space Hamiltonian.
 
-    Each connected component of the sparsity graph (a number or parity
-    sector, or finer) is solved densely for its two lowest states, which
-    resolves a degenerate ground level within one block or across two; a
-    single-vector Krylov solve can miss it.  Refuses numerically degenerate
-    ground states: an arbitrary vector of a degenerate space need not match
-    the Gaussian convention.
+    The chain's reflection ``R`` (site j <-> n-1-j, the bit reversal of a Fock
+    state) commutes with ``H`` exactly, or the chain is refused.  Each
+    connected component of the sparsity graph (a number or parity sector, or
+    finer), joined with its mirror image, splits into an even half, spanned by
+    ``(e_s + e_Rs)/sqrt 2`` for ``s < Rs`` and by ``e_s`` for ``s = Rs``, and an
+    odd half, spanned by ``(e_s - e_Rs)/sqrt 2``.  Each half is solved densely
+    for its two lowest states, which resolves a degenerate ground level within
+    one half or across two; a single-vector Krylov solve can miss it.  Refuses
+    numerically degenerate ground states: an arbitrary vector of a degenerate
+    space need not match the Gaussian convention.
     """
     import scipy.linalg
+    import scipy.sparse
     import scipy.sparse.csgraph
     H = fock_hamiltonian(model, n)
+    s = np.arange(H.shape[0])
+    r = np.zeros_like(s)                        # the bit reversal of each state
+    for i in range(n):
+        r |= ((s >> i) & 1) << (n - 1 - i)
+    if (H[r][:, r] != H).nnz:
+        raise DecompositionError("Fock-space Hamiltonian does not commute with the reflection")
     _, labels = scipy.sparse.csgraph.connected_components(H, directed=False)
-    levels = []                             # (energy, component's Fock states, vector)
-    for states in np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1]):
-        vals, vecs = scipy.linalg.eigh(H[states][:, states].toarray(),
-                                       subset_by_index=[0, min(2, states.size) - 1])
-        levels += [(e, states, v) for e, v in zip(vals, vecs.T)]
-    (e0, states, v), (e1, _, _) = sorted(levels, key=lambda level: level[0])[:2]
+    pairs = s[s < r]
+    first = np.r_[pairs, s[s == r], pairs]      # the lowest Fock state of each basis vector
+    sign = np.r_[np.ones(pairs.size), np.zeros(s.size - 2 * pairs.size), -np.ones(pairs.size)]
+    # the orthogonal P of the basis; a palindrome's second element, 0, adds to its first, 1
+    P = scipy.sparse.csc_matrix((np.r_[np.where(sign, math.sqrt(0.5), 1.0), sign * math.sqrt(0.5)],
+                                 (np.r_[first, r[first]], np.r_[s, s])))
+    half = 2 * np.minimum(labels, labels[r])[first] + (sign < 0)   # component with its mirror, parity
+    order = np.argsort(half, kind="stable")
+    P = P[:, order]
+    Q = (P.T @ H @ P).tocsr()
+    levels = []                                 # (energy, the half's columns of P, vector)
+    for cols in np.split(s, np.flatnonzero(np.diff(half[order])) + 1):
+        block = slice(cols[0], cols[-1] + 1)
+        vals, vecs = scipy.linalg.eigh(Q[block, block].toarray(), subset_by_index=[0, min(2, cols.size) - 1])
+        levels += [(e, block, v) for e, v in zip(vals, vecs.T)]
+    (e0, block, v), (e1, _, _) = sorted(levels, key=lambda level: level[0])[:2]
     gap = float(e1 - e0)
     if gap <= _ED_GAP_TOL:
         raise DegenerateGroundStateError(
             f"degenerate ground state (many-body gap {gap:.3e})"
         )
-    psi = np.zeros(H.shape[0])
-    psi[states] = v
-    return np.array([e0, e1]), psi
+    return np.array([e0, e1]), P[:, block] @ v
 
 
 def _reduced_spectrum(psi: np.ndarray, n: int, L: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import scipy.sparse.csgraph
 from hypothesis import assume, given, settings, strategies as st
 
 from singlecopy import oracle
-from singlecopy.errors import DegenerateGroundStateError, ModelError
+from singlecopy.errors import DecompositionError, DegenerateGroundStateError, ModelError
 from singlecopy.model import build_model
 from singlecopy.toeplitz import block_spectrum, build_T
 from singlecopy.oracle import (
@@ -19,6 +19,7 @@ from singlecopy.oracle import (
     finite_gaussian_ground,
     fock_hamiltonian,
 )
+from test_generated_tables import anisotropic_tables, isotropic_tables
 
 XX2 = build_model("xx", a=2)
 ISING = build_model("ising")
@@ -145,7 +146,7 @@ def _majorana_covariance(model, n):
     """(ground covariance, gap) from the 2n x 2n form: the polar factor of ``h`` on
     its kept modes, skewed again since its two factors round independently."""
     U, s, Vt = scipy.linalg.svd(_chain_quadratic_form(model, n))
-    keep = s >= oracle._ZERO_MODE_TOL
+    keep = s > oracle._ZERO_MODE_TOL * s.max()
     gamma = U[:, keep] @ Vt[keep]
     return 0.5 * (gamma - gamma.T), float(s.min())
 
@@ -165,7 +166,7 @@ def _assert_matches_majorana_form(model, n, Ls):
     # a polar factor rounds by about eps |X| / (its smallest kept s), so the bound is
     # 1e-12 unless that s is below 2e-4 |X|, as for a split boundary pair
     s = np.linalg.svd(X, compute_uv=False)
-    kept = s[s >= oracle._ZERO_MODE_TOL]
+    kept = s[s > oracle._ZERO_MODE_TOL * s.max()]
     tol = max(1e-12, np.finfo(float).eps * s[0] / kept[-1]) if kept.size else 1e-12
     gamma, ref_gap = _majorana_covariance(model, n)
     for L in Ls:
@@ -213,53 +214,93 @@ def test_gaussian_matches_exact_diagonalization(model, n, Ls):
     assert evals_gap is not None
 
 
+def _bit_reversal(n):
+    """Each Fock state with its n bits reversed: the chain's reflection j <-> n-1-j."""
+    return np.array([int(format(s, f"0{n}b")[::-1], 2) for s in range(1 << n)])
+
+
+def _assert_block_solve_matches_full_dense_solve(model, n):
+    # the per-half solve against one dense solve of the whole Fock space
+    H = fock_hamiltonian(model, n)
+    r = _bit_reversal(n)
+    assert (H[r][:, r] != H).nnz == 0          # the reflection commutes with H exactly
+    ref_evals, ref_evecs = scipy.linalg.eigh(H.toarray(), subset_by_index=[0, 1])
+    refused = ref_evals[1] - ref_evals[0] <= oracle._ED_GAP_TOL
+    if refused:
+        with pytest.raises(DegenerateGroundStateError):
+            oracle._ed_ground(model, n)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_ED_GAP_TOL", -np.inf)     # read the levels of refused chains too
+        evals, psi = oracle._ed_ground(model, n)
+    assert evals.shape == (2,) and psi.shape == (1 << n,)
+    assert np.abs(evals - ref_evals).max() <= 1e-12
+    if not refused:
+        for L in range(1, n + 1):
+            ref = oracle._reduced_spectrum(ref_evecs[:, 0], n, L)
+            assert np.abs(oracle._reduced_spectrum(psi, n, L) - ref).max() <= 1e-12
+
+
 @pytest.mark.parametrize("model,components", [
     (XX2, lambda n: n + 1),       # particle-number sectors
     (ISING, lambda n: 2),         # fermion-parity sectors
     (XY, lambda n: 2),
     (W2, lambda n: 2),
     (CONST, lambda n: 1 << n),    # w = 0: every Fock state is its own block
+    # next-nearest hopping keeps the number on each sublattice, and for even n
+    # the reflection swaps the sublattices, so it maps a block onto another
+    (build_model("custom", A=(0.3, 0, 1)), lambda n: (n // 2 + 1) * ((n + 1) // 2 + 1)),
     *((m, None) for m, _ in DEGENERATE.values()),
-], ids=["xx2", "ising", "xy", "w2", "const", *DEGENERATE.keys()])
-def test_block_solve_matches_full_dense_solve(model, components, monkeypatch):
-    # the per-component solve against one dense solve of the whole Fock space
+], ids=["xx2", "ising", "xy", "w2", "const", "sublattices", *DEGENERATE.keys()])
+def test_block_solve_matches_full_dense_solve(model, components):
     for n in range(1, 9):
-        H = fock_hamiltonian(model, n)
         if components is not None:
+            H = fock_hamiltonian(model, n)
             assert scipy.sparse.csgraph.connected_components(H, directed=False)[0] == components(n)
-        ref_evals, ref_evecs = scipy.linalg.eigh(H.toarray(), subset_by_index=[0, 1])
-        refused = ref_evals[1] - ref_evals[0] <= oracle._ED_GAP_TOL
-        if refused:
-            with pytest.raises(DegenerateGroundStateError):
-                oracle._ed_ground(model, n)
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_ED_GAP_TOL", -np.inf)     # read the levels of refused chains too
-            evals, psi = oracle._ed_ground(model, n)
-        assert evals.shape == (2,) and psi.shape == (1 << n,)
-        assert np.abs(evals - ref_evals).max() <= 1e-12
-        if not refused:
-            for L in range(1, n + 1):
-                ref = oracle._reduced_spectrum(ref_evecs[:, 0], n, L)
-                assert np.abs(oracle._reduced_spectrum(psi, n, L) - ref).max() <= 1e-12
+        _assert_block_solve_matches_full_dense_solve(model, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(anisotropic_tables(), isotropic_tables()), st.integers(1, 9))
+def test_block_solve_matches_full_dense_solve_on_generated_tables(table, n):
+    _assert_block_solve_matches_full_dense_solve(table[0], n)
 
 
 def _stand_in(monkeypatch, H):
     # _ed_ground looks fock_hamiltonian up at call time, so any symmetric
-    # sparse matrix can stand in for the Fock-space Hamiltonian
+    # sparse 2^n x 2^n matrix can stand in for the Fock-space Hamiltonian
     monkeypatch.setattr(oracle, "fock_hamiltonian", lambda model, n: scipy.sparse.csr_matrix(H))
+
+
+def _two_site_halves(even, odd):
+    """The 4 x 4 stand-in with the 3 x 3 ``even`` on ``(e_0, (e_1 + e_2)/sqrt 2, e_3)``
+    and the 1 x 1 ``odd`` on ``(e_1 - e_2)/sqrt 2``; at n = 2 the reflection swaps
+    the Fock states 1 = |01> and 2 = |10>."""
+    h = math.sqrt(0.5)
+    E = np.array([[1.0, 0, 0], [0, h, 0], [0, h, 0], [0, 0, 1.0]])
+    O = np.array([[0.0], [h], [-h], [0.0]])
+    return E @ np.asarray(even) @ E.T + O @ np.asarray(odd) @ O.T
 
 
 def test_block_solve_keeps_two_levels_of_one_block(monkeypatch):
     # a quadratic Hamiltonian's first excitation flips the parity, so its two
-    # lowest levels never share a block; these stand-ins put them in one
-    perm = [3, 0, 4, 1, 2]
-    H = scipy.linalg.block_diag([[2.0]], [[0.0, 0.5], [0.5, 0.0]], [[3.0]], [[4.0]])[perm][:, perm]
+    # lowest levels never share a half; these stand-ins put them in one
+    H = _two_site_halves([[0.0, 0.1, 0.5], [0.1, 3.0, 0.0], [0.5, 0.0, 0.0]], [[2.0]])
     _stand_in(monkeypatch, H)
     evals, psi = oracle._ed_ground(XX2, 2)
-    assert np.allclose(evals, [-0.5, 0.5], atol=1e-15)
-    assert np.allclose(H @ psi, -0.5 * psi, atol=1e-15) and np.linalg.norm(psi) == pytest.approx(1.0)
-    _stand_in(monkeypatch, scipy.linalg.block_diag(np.ones((3, 3)) - np.eye(3), [[5.0]]))
-    with pytest.raises(DegenerateGroundStateError):   # eigenvalues 2, -1, -1 in one block
+    ref = np.linalg.eigvalsh(H)
+    assert ref[1] < 2.0                             # both levels below the odd half's
+    assert np.abs(evals - ref[:2]).max() <= 1e-14
+    assert np.abs(H @ psi - evals[0] * psi).max() <= 1e-14 and np.linalg.norm(psi) == pytest.approx(1.0)
+    assert np.array_equal(psi[[0, 2, 1, 3]], psi)   # an even vector
+    _stand_in(monkeypatch, _two_site_halves(np.ones((3, 3)) - np.eye(3), [[5.0]]))
+    with pytest.raises(DegenerateGroundStateError):   # eigenvalues 2, -1, -1 in one half
+        oracle._ed_ground(XX2, 2)
+
+
+def test_stand_in_that_breaks_the_reflection_is_refused(monkeypatch):
+    # one ulp between the energies of |01> and |10>, which the reflection swaps
+    _stand_in(monkeypatch, np.diag([0.0, 2.0, np.nextafter(2.0, 3.0), 1.0]))
+    with pytest.raises(DecompositionError, match="reflection"):
         oracle._ed_ground(XX2, 2)
 
 
@@ -289,6 +330,13 @@ def test_degenerate_chain_is_refused(model, n):
     with pytest.raises(DegenerateGroundStateError):
         exact_diag_ground(model, n, L)
     assert compare_oracle(model, n, L, "gaussian-vs-thermodynamic").gap < 1e-10
+
+
+def test_zero_mode_cut_is_relative_to_the_largest_mode():
+    # a scaled chain has the same ground state; at s = 1e-9 the smallest
+    # normal mode, 1.8e-11, lies below the former absolute cut of 1e-10
+    mu = [finite_gaussian_ground(build_model("custom", A=(-s, s)), 100, 8).mu for s in (1.0, 1e-9)]
+    assert np.abs(mu[0] - mu[1]).max() <= 1e-10
 
 
 def test_thermodynamic_convergence():

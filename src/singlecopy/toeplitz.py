@@ -48,6 +48,7 @@ _KRYLOV_L = 512           # blocks this long first try the Krylov route (crossov
 _KRYLOV_BLOCK = 4         # Krylov block size: start vectors, new vectors per product
 _KRYLOV_ULPS = 4          # Krylov certificate: trace of I - T T^T left over <= 4 L eps
 _KRYLOV_STALL = 0.9       # an uncertified leftover above 0.9 of its value 3 blocks back: give up
+_KRYLOV_SLAB = 16         # Krylov basis rows per preallocated slab
 
 
 @dataclass(frozen=True)
@@ -286,7 +287,10 @@ class BlockSpectrum:
 
 def _xlnx(x: np.ndarray) -> np.ndarray:
     """``x ln x`` (0 at 0) by libm's ``log`` like scipy's ``xlogy``; numpy's SIMD log can differ."""
-    return x * np.array([math.log(v) if v > 0.0 else 0.0 for v in x.tolist()])
+    ln = np.zeros_like(x)
+    inside = (x > 0.0) & (x != 1.0)     # log 1 = 0: a Krylov block has O(log L) mu < 1
+    ln[inside] = [math.log(v) for v in x[inside].tolist()]
+    return x * ln
 
 
 def spectrum_from_singular_values(values) -> BlockSpectrum:
@@ -336,6 +340,11 @@ def _krylov_mu(window: np.ndarray) -> np.ndarray | None:
     on their span.  None if the trace passes ``L/4``, or if, uncertified, the basis closes,
     reaches ``L/4`` columns or stalls (a leftover above ``_KRYLOV_STALL`` of its value three
     blocks back).
+
+    ``B`` is stored as rows, in preallocated slabs of ``_KRYLOV_SLAB``, so the FFTs run along
+    the contiguous axis.  Each block is projected off ``B`` twice ("twice is enough"), one
+    gemm pair per slab and pass, and its coefficients fill ``M``, which doubles when full.
+    The peak holds ``B``, ``M`` and one block: ``B`` is never copied whole.
     """
     L = (window.size + 1) // 2
     total = L - math.fsum(((L - np.abs(np.arange(1 - L, L))) * window * window).tolist())
@@ -343,46 +352,47 @@ def _krylov_mu(window: np.ndarray) -> np.ndarray | None:
         return None
     from numpy import fft            # deferred: only long blocks use it
     n = 1 << (2 * L - 2).bit_length()     # >= 2L - 1: the circular product does not wrap
-    w = fft.rfft(window, n)[:, None]
+    w = fft.rfft(window, n)
     Q = np.linalg.qr(np.mod(np.arange(L * _KRYLOV_BLOCK, dtype=float).reshape(L, -1) ** 2
                             * 0.6180339887498949, 1.0) - 0.5)[0]     # quadratic Weyl sequence
-    blocks, cols, captured, passed, leftover = [], [], 0.0, 0, []
-
-    def project(Z):                  # Z -= B B^T Z twice; returns the summed B^T Z
-        coef = [0.0] * len(blocks)
-        for _ in range(2):
-            for i, b in enumerate(blocks):
-                c = b.T @ Z
-                Z -= b @ c
-                coef[i] = coef[i] + c
-        return np.vstack(coef)
-
+    slabs, M, k, captured, passed, leftover = [], np.zeros((4 * _KRYLOV_SLAB,) * 2), 0, 0.0, 0, []
     while passed < 4:
-        blocks.append(Q)
-        Y = fft.irfft(fft.rfft(Q, n, axis=0) * w, n, axis=0)[2 * L - 2:L - 2:-1].copy()  # HQ
-        captured += Q.shape[1] - float(np.vdot(Y, Y))
+        k0, k, q = k, k + Q.shape[1], Q.shape[1]
+        if len(M) < k + _KRYLOV_BLOCK:
+            M, full = np.zeros((2 * len(M),) * 2), M
+            M[:len(full), :len(full)] = full
+        if not slabs or slabs[-1][2] + q > _KRYLOV_SLAB:     # no block spans two slabs
+            slabs.append([np.empty((_KRYLOV_SLAB, L)), k0, 0])    # rows, index of row 0, filled
+        S, _, f = slabs[-1]
+        S[f:f + q], slabs[-1][2] = Q.T, f + q
+        del Q                        # its rows are in the slab
+        Y = fft.irfft(fft.rfft(S[f:f + q], n) * w, n)[:, 2 * L - 2:L - 2:-1].copy()  # rows of HQ
+        captured += q - float(np.vdot(Y, Y))
         leftover.append(total - captured)
         passed += leftover[-1] <= _KRYLOV_ULPS * L * _EPS
         if not passed and len(leftover) > 3 and leftover[-1] > _KRYLOV_STALL * leftover[-4]:
             return None
-        C = project(Y)
-        U, s, Vt = np.linalg.svd(Y, full_matrices=False)
+        for S, j, f in 2 * slabs:        # Gram-Schmidt run twice: one gemm pair per slab and pass
+            C = Y @ S[:f].T
+            Y -= C @ S[:f]
+            M[k0:k, j:j + f] += C
+        U, s, Vt = np.linalg.svd(Y.T, full_matrices=False)
         keep = s > math.sqrt(L) * _EPS   # deflation: drop directions H leaves invariant
-        if not keep.any() or len(C) + keep.sum() > L // 4:
+        if not keep.any() or k + keep.sum() > L // 4:
             if not passed:
                 return None
             passed = 4
         U = U[:, keep]
-        U -= sum(b @ (b.T @ U) for b in blocks)     # Y was twice projected: once suffices
+        for S, _, f in slabs:            # Y was twice projected: once suffices
+            U -= S[:f].T @ (S[:f] @ U)
         Q, R = np.linalg.qr(U)
-        cols.append(np.vstack([C, R @ (s[keep, None] * Vt[keep])]))
+        M[k0:k, k:k + len(R)] = (R @ (s[keep, None] * Vt[keep])).T
         del Y, U                     # before the next product: the peak holds B and one block
-    k = len(C)
-    N = np.hstack([np.pad(c, ((0, k + len(Q.T) - len(c)), (0, 0))) for c in cols])  # [B Q]^T HB
-    _, sv, vt = np.linalg.svd(N, full_matrices=False)
+    M = M[:k, :k + Q.shape[1]]       # (HB)^T [B Q]
+    V, sv, _ = np.linalg.svd(M, full_matrices=False)
     low = sv < math.sqrt(0.5)
-    V = vt[low].T
-    sv[low] = np.abs(np.linalg.eigvalsh(V.T @ (N[:k] + N[:k].T) @ V / 2))
+    V = V[:, low]
+    sv[low] = np.abs(np.linalg.eigvalsh(V.T @ (M[:, :k] + M[:, :k].T) @ V / 2))
     return np.concatenate([sv, np.ones(L - k)])
 
 

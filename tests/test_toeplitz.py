@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.polynomial import chebyshev, polynomial
 
 from singlecopy import model as model_module, toeplitz
@@ -26,6 +26,7 @@ from singlecopy.toeplitz import (
     table_spectrum,
     _fourier_pair,
 )
+from test_asymptotics import fisher_hartwig_entropy
 from test_generated_tables import _model_from_laurent, anisotropic_tables, z_circle
 
 XX2 = build_model("xx", a=2)
@@ -440,6 +441,20 @@ def test_entropy_equals_the_xlogy_form_bit_for_bit(seed):
     assert spectrum_from_singular_values(np.ones(3)).entropy_bits == 0.0
 
 
+def test_xlnx_equals_the_log_of_every_entry_bit_for_bit():
+    # _xlnx skips log at 0 and 1, where the list comprehension of every entry gave 0.0
+    def every_entry(x):
+        return x * np.array([math.log(v) if v > 0.0 else 0.0 for v in x.tolist()])
+
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([0.0, -0.0, 1.0, tiny, 3 * tiny, 2.2e-308, np.nextafter(1.0, 0.0),
+                        np.nextafter(1.0, 2.0), 0.5, 1e-300, 0.75, 2.0])
+    rng = np.random.default_rng(7)
+    for x in (special, rng.choice(special, 200), rng.random(64),
+              np.r_[rng.random(50), np.ones(500), np.zeros(30), tiny * rng.random(20)]):
+        assert toeplitz._xlnx(x).tobytes() == every_entry(x).tobytes()
+
+
 def test_gamma_is_exactly_skew():
     for model in (XX2, XY, ISING, CONST):
         g = build_gamma(model, 5)
@@ -698,6 +713,8 @@ def closed_form_critical_models(draw):
 # ising, and anisotropic tables with every zero on the unit circle.
 @settings(max_examples=15, deadline=None)
 @given(closed_form_critical_models(), st.integers(toeplitz._KRYLOV_L, 2048))
+# twelve Fermi points: about 220 basis vectors, many slabs of the Krylov basis
+@example(_isotropic_with_roots([-0.9, -0.6, -0.2, 0.1, 0.5, 0.8]), 1024)
 def test_krylov_route_matches_the_dense_route(model, L):
     assume(classify_criticality(model).step_phase is not None)
     try:
@@ -784,6 +801,19 @@ def test_a_stalled_krylov_attempt_gives_up_after_four_blocks(monkeypatch):
     assert len(products) <= 4
     assert spec.method == "dense"
     assert _same_bytes(spec, _dense_spectrum(window))
+
+
+@pytest.mark.parametrize("L", [16384, 65536])
+def test_krylov_route_meets_the_ising_entropy_constant_past_a_deflated_block(L):
+    # blocks of fewer than four vectors (deflation) partly fill a slab of the basis, at
+    # the end of the run or before it; ising's entropy then meets its Fisher-Hartwig
+    # constant, S - (1/6) log2 L -> 0.6904132739 bits.  The Krylov values are taken
+    # directly: the block is not symmetric, and its LU determinant would need 8 L^2 bytes
+    window = toeplitz._window(coefficient_table(ISING, L), L)
+    mu = toeplitz._krylov_mu(window)
+    assert mu is not None                # certified, no dense fallback
+    entropy = spectrum_from_singular_values(mu).entropy_bits
+    assert abs(entropy - fisher_hartwig_entropy(ISING, L)) <= 1e-9
 
 
 def test_krylov_route_finds_exact_zero_singular_values():

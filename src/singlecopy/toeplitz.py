@@ -93,6 +93,9 @@ def _closed_form(model: ModelSpec, profile: SymbolProfile, L: int) -> np.ndarray
     s = np.cumprod(flips) * flips[0]
     a = int(np.argmax(np.abs(lam)))
     mag = abs(lam[a])     # part by part: numpy's complex division can miss -1 by an ulp
+    if mag == 0.0:        # zeros the classifier missed sit on every midpoint: no phase to read
+        raise CoefficientAccuracyError(
+            "coefficient accuracy: the symbol vanishes at every arc midpoint", achieved=math.inf)
     u = s[a] * complex(lam[a].real / mag, lam[a].imag / mag)
     off = float(np.abs(lam - np.abs(lam) * s * u).max() / np.abs(_laurent(model)).sum())
     if not (off <= _STEP_ULPS * _EPS and np.prod(flips) * twist == 1.0):

@@ -331,6 +331,12 @@ def _svd_mu(T):
 # reference.  A table whose closed form refuses it is skipped.
 @settings(max_examples=25, deadline=None)
 @given(isotropic_tables(), st.integers(1, 200))
+# zeros at pi and pi +- 0.0039 the classifier misses: lam rounds to 0 at the one arc's midpoint
+@example((build_model("custom", A=(2.4999771119037173, 1.8749847412594436, 0.7499961853075849,
+                                   0.125), B=(0.0, 0.0, 0.0)),
+          [3.137686403589793, 3.145498903589793, 3.137686403589793, 3.145498903589793],
+          [3.141592653589793]),
+         1)
 def test_isotropic_spectrum_matches_svd(table, L):
     try:
         T = build_T(table[0], L)

@@ -282,6 +282,19 @@ def test_a_root_just_inside_the_circle_gets_no_closed_form():
         coefficient_table(model, 8)
 
 
+def test_a_symbol_vanishing_at_its_only_midpoint_is_refused():
+    # P(cos k) with zeros at pi and pi +- 0.0039 merged into one root cluster
+    # whose centre sits 5e-6 off the unit circle: the classifier finds no
+    # zero, so the closed form's one arc has its midpoint at k = pi, where lam
+    # rounds to 0 and has no phase to read
+    model = build_model("custom", A=(2.4999771119037173, 1.8749847412594436,
+                                     0.7499961853075849, 0.125), B=(0.0, 0.0, 0.0))
+    prof = classify_criticality(model)
+    assert prof.fermi_points == prof.marginal_points == () and prof.step_phase == 0.0
+    with pytest.raises(CoefficientAccuracyError, match="vanishes at every arc midpoint"):
+        coefficient_table(model, 1, profile=prof)
+
+
 # xy draw 1 of the benchmark: gapped, and its symbol winds once around 0, so
 # one singular value of T_L decays like e^{-cL} (ROADMAP item 1)
 WINDING = build_model("xy", a=2.7712, gamma=0.6055)

@@ -10,9 +10,9 @@ open chain:
   ``compare_oracle`` reports, is then 0 to rounding.
 * ``exact_diag_ground`` builds the sparse 2^n x 2^n Jordan-Wigner operator
   sum of the coupling table element by element from the occupation bits of
-  the Fock states, splits each symmetry block (connected component) into the
-  even and odd halves of the chain's reflection, solves each half densely
-  for its two lowest states, and reduces the ground vector directly; it
+  the Fock states, takes it to the even and odd basis of the chain's
+  reflection, solves each connected block of the result densely for its two
+  lowest states, and reduces the ground vector directly; it
   refuses degenerate ground states.
 
 Open boundaries keep the fermionic picture exact (no boundary strings or
@@ -131,16 +131,16 @@ def fock_hamiltonian(model: ModelSpec, n: int):
 def _ed_ground(model: ModelSpec, n: int):
     """(two lowest eigenvalues, ground vector) of the Fock-space Hamiltonian.
 
-    The chain's reflection ``R`` (site j <-> n-1-j, the bit reversal of a Fock
-    state) commutes with ``H`` exactly, or the chain is refused.  Each
-    connected component of the sparsity graph (a number or parity sector, or
-    finer), joined with its mirror image, splits into an even half, spanned by
-    ``(e_s + e_Rs)/sqrt 2`` for ``s < Rs`` and by ``e_s`` for ``s = Rs``, and an
-    odd half, spanned by ``(e_s - e_Rs)/sqrt 2``.  Each half is solved densely
-    for its two lowest states, which resolves a degenerate ground level within
-    one half or across two; a single-vector Krylov solve can miss it.  Refuses
-    numerically degenerate ground states: an arbitrary vector of a degenerate
-    space need not match the Gaussian convention.
+    ``H`` is taken to the basis ``P`` of the chain's reflection ``R`` (site j <->
+    n-1-j, the bit reversal of a Fock state): ``(e_s +- e_Rs)/sqrt 2`` for
+    ``s < Rs`` and ``e_s`` for ``s = Rs``.  The blocks are the connected
+    components of the sparsity graph of ``Q = P^T H P``: the even and odd halves
+    of the number or parity sectors (or finer), since ``R`` commutes with ``H``,
+    ``a + b`` rounds as ``b + a`` and the sparse product stores no exact zero.
+    Each is solved densely for its two lowest states, which resolves a
+    degenerate ground level within one block or across two; a single-vector
+    Krylov solve can miss it.  Refuses numerically degenerate ground states: an
+    arbitrary vector of a degenerate space need not match the Gaussian convention.
     """
     import scipy.linalg
     import scipy.sparse
@@ -150,21 +150,18 @@ def _ed_ground(model: ModelSpec, n: int):
     r = np.zeros_like(s)                        # the bit reversal of each state
     for i in range(n):
         r |= ((s >> i) & 1) << (n - 1 - i)
-    if (H[r][:, r] != H).nnz:
-        raise DecompositionError("Fock-space Hamiltonian does not commute with the reflection")
-    _, labels = scipy.sparse.csgraph.connected_components(H, directed=False)
     pairs = s[s < r]
     first = np.r_[pairs, s[s == r], pairs]      # the lowest Fock state of each basis vector
     sign = np.r_[np.ones(pairs.size), np.zeros(s.size - 2 * pairs.size), -np.ones(pairs.size)]
     # the orthogonal P of the basis; a palindrome's second element, 0, adds to its first, 1
     P = scipy.sparse.csc_matrix((np.r_[np.where(sign, math.sqrt(0.5), 1.0), sign * math.sqrt(0.5)],
                                  (np.r_[first, r[first]], np.r_[s, s])))
-    half = 2 * np.minimum(labels, labels[r])[first] + (sign < 0)   # component with its mirror, parity
-    order = np.argsort(half, kind="stable")
-    P = P[:, order]
     Q = (P.T @ H @ P).tocsr()
-    levels = []                                 # (energy, the half's columns of P, vector)
-    for cols in np.split(s, np.flatnonzero(np.diff(half[order])) + 1):
+    _, labels = scipy.sparse.csgraph.connected_components(Q, directed=False)
+    order = np.argsort(labels, kind="stable")
+    P, Q = P[:, order], Q[order][:, order]
+    levels = []                                 # (energy, the block's columns of P, vector)
+    for cols in np.split(s, np.flatnonzero(np.diff(labels[order])) + 1):
         block = slice(cols[0], cols[-1] + 1)
         vals, vecs = scipy.linalg.eigh(Q[block, block].toarray(), subset_by_index=[0, min(2, cols.size) - 1])
         levels += [(e, block, v) for e, v in zip(vals, vecs.T)]

@@ -35,8 +35,8 @@ from .model import (TWO_PI, ModelSpec, SymbolProfile, _laurent, classify_critica
 
 LN2 = math.log(2.0)
 
-#: Largest block length of a report, scan or sector decomposition, and
-#: largest chain of the finite Gaussian oracle.
+#: Largest block length of a report, scan, sector decomposition or dense
+#: spectrum, and largest chain of the finite Gaussian oracle.
 MAX_L = 4096
 
 _NODE_BUDGET = 1 << 16    # max symbol evaluations per coefficient
@@ -407,6 +407,8 @@ def _window_spectrum(window: np.ndarray) -> BlockSpectrum:
     H = T[:, ::-1]                      # TJ, a Hankel view
     L, m = T.shape[0], T.shape[0] // 2
     symmetric = np.array_equal(window, window[::-1])
+    if L > MAX_L and not symmetric:
+        raise ModelError(f"a non-symmetric block of length L={L} past {MAX_L} needs a dense LU")
 
     def bordered_plus():
         plus = math.sqrt(2.0) * T[:L - m, :L - m]     # middle row and column, for odd L
@@ -416,6 +418,8 @@ def _window_spectrum(window: np.ndarray) -> BlockSpectrum:
 
     try:
         sv = _krylov_mu(window) if L >= _KRYLOV_L else None
+        if sv is None and L > MAX_L:
+            raise DecompositionError(f"block of length L={L} not certified, and no dense route past {MAX_L}")
         method = "dense" if sv is None else "krylov"
         if sv is None and symmetric:
             sv = np.abs(np.concatenate([np.linalg.eigvalsh(bordered_plus()),
@@ -448,7 +452,9 @@ def table_spectrum(table: ToeplitzCoeffs, L: int) -> BlockSpectrum:
     ``eigvalsh`` runs.  Any other block's are those of the symmetric Hankel
     matrix ``TJ``, and its ln|det T| is LU's, both read from views, so the
     LAPACK wrappers make the only copy.  Refuses (``ModelError``) ``L < 1``,
-    ``L`` past the table and a window that is not finite.
+    ``L`` past the table, a window that is not finite and, past ``MAX_L``, a
+    non-symmetric window (its LU); a symmetric window past ``MAX_L`` that the
+    Krylov route does not certify raises ``DecompositionError``.
     """
     return _window_spectrum(_window(table, L))
 

@@ -215,6 +215,27 @@ def test_tangential_zero_next_to_fermi_points_stays_marginal():
     assert np.allclose(prof.fermi_points, [0.01, 2 * math.pi - 0.01], atol=1e-9)
 
 
+# lam = (cos k + 1)(cos k + cos d)^2 with d = 0.0039: double zeros at pi and pi +- d, six
+# roots of z^3 lam whose centre lies d^2/3 = 5e-6 inside the unit circle (rounding spreads
+# the computed ones to 0.006 of -1)
+TIGHT_CLUSTER = build_model("custom", A=(2.4999771119037173, 1.8749847412594436,
+                                         0.7499961853075849, 0.125))
+
+
+def test_a_tight_zero_cluster_is_a_zero_of_the_symbol():
+    k = np.linspace(math.pi - 0.01, math.pi + 0.01, 2001)
+    assert np.abs(dispersion(TIGHT_CLUSTER, k)).max() < 1e-13
+    roots = np.polynomial.polynomial.polyroots(_laurent(TIGHT_CLUSTER))   # of z^3 lam
+    assert roots.size == 6 and np.abs(roots + 1).max() < 0.01
+
+
+@pytest.mark.xfail(strict=True, reason="circle_zeros misses a cluster of zeros centred "
+                   "past _CIRCLE_TOL inside the unit circle (CHANGES.md FOUND on model.circle_zeros)")
+def test_a_tight_zero_cluster_is_classified():
+    prof = classify_criticality(TIGHT_CLUSTER)
+    assert any(abs(k - math.pi) <= 0.01 for k in prof.fermi_points + prof.marginal_points)
+
+
 # the xx draws of the benchmark workloads
 XX_DRAWS = [round(1.5 + 1.5 * random.Random(i).random(), 4) for i in range(32)]
 

@@ -10,9 +10,9 @@ import scipy.sparse.csgraph
 from hypothesis import assume, given, settings, strategies as st
 
 from singlecopy import oracle
-from singlecopy.errors import DecompositionError, DegenerateGroundStateError, ModelError
+from singlecopy.errors import DegenerateGroundStateError, ModelError
 from singlecopy.model import build_model
-from singlecopy.toeplitz import block_spectrum, build_T
+from singlecopy.toeplitz import block_spectrum, build_T, coefficient_table, table_spectrum
 from singlecopy.oracle import (
     compare_oracle,
     exact_diag_ground,
@@ -297,11 +297,39 @@ def test_block_solve_keeps_two_levels_of_one_block(monkeypatch):
         oracle._ed_ground(XX2, 2)
 
 
-def test_stand_in_that_breaks_the_reflection_is_refused(monkeypatch):
-    # one ulp between the energies of |01> and |10>, which the reflection swaps
-    _stand_in(monkeypatch, np.diag([0.0, 2.0, np.nextafter(2.0, 3.0), 1.0]))
-    with pytest.raises(DecompositionError, match="reflection"):
-        oracle._ed_ground(XX2, 2)
+@pytest.mark.parametrize("diag,ground", [
+    ((3.0, 0.0, 0.5, 1.0), 1),                      # energies 0 and 0.5, which the reflection swaps
+    ((0.0, 2.0, np.nextafter(2.0, 3.0), 1.0), 0),   # one ulp between the swapped ones
+], ids=["swapped", "one-ulp"])
+def test_stand_in_that_breaks_the_reflection_is_solved(monkeypatch, diag, ground):
+    # the reflection swaps |01> and |10>, of different energies: P^T H P links an even
+    # vector to an odd one, and the merged block is solved, not refused
+    H = np.diag(diag)
+    _stand_in(monkeypatch, H)
+    evals, psi = oracle._ed_ground(XX2, 2)
+    assert np.abs(evals - np.linalg.eigvalsh(H)[:2]).max() <= 1e-14
+    assert np.abs(np.abs(psi) - np.eye(4)[ground]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("model,count,sizes", [
+    (XX2, 24, (1, 472)),          # the halves of the 13 number sectors
+    (ISING, 4, (992, 1056)),      # the halves of the 2 parity sectors
+    # next-nearest hopping keeps the number on each sublattice, finer than any number sector
+    (build_model("custom", A=(0.3, 0, 1)), 54, (1, 300)),
+], ids=["xx2", "ising", "sublattices"])
+def test_blocks_at_twelve_sites_are_the_halves_of_the_symmetry_sectors(monkeypatch, model, count, sizes):
+    # a rounding residue of P^T H P between an even and an odd vector would merge two halves
+    shapes = []
+    eigh = scipy.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recorded)
+    oracle._ed_ground(model, 12)
+    assert len(shapes) == count and sum(shapes) == 1 << 12
+    assert (min(shapes), max(shapes)) == sizes
 
 
 def test_cross_sector_degeneracy_is_refused():
@@ -348,6 +376,17 @@ def test_thermodynamic_convergence():
         diffs.append(cmp.max_abs_diff)
     assert diffs[0] > diffs[1] > diffs[2]
     assert diffs[2] < 2e-2
+
+
+@pytest.mark.parametrize("L", [8, 16])
+def test_critical_ising_chain_approaches_the_toeplitz_block_like_one_over_n(L):
+    # critical: no gap keeps the boundary away, so the bulk block converges
+    # algebraically; the distance halves per doubling of n (measured 2.007 and
+    # 2.003 at L = 8, 2.02 and 2.01 at L = 16)
+    thermo = table_spectrum(coefficient_table(ISING, L), L).mu
+    diffs = [np.abs(finite_gaussian_ground(ISING, n, L).mu - thermo).max() for n in (100, 200, 400)]
+    for coarse, fine in itertools.pairwise(diffs):
+        assert 1.9 <= coarse / fine <= 2.1
 
 
 def test_gapped_chain_bulk_is_converged_by_n_200():

@@ -14,7 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.polynomial import chebyshev, polynomial
 
 from singlecopy import model as model_module, toeplitz
-from singlecopy.errors import CoefficientAccuracyError, InvalidSpectrumError, ModelError
+from singlecopy.errors import (CoefficientAccuracyError, DecompositionError, InvalidSpectrumError,
+                               ModelError)
 from singlecopy.model import TWO_PI, build_model, classify_criticality, symbol_eval
 from singlecopy.asymptotics import SCAN_FIELDS, _row_from_spectrum, scan
 from singlecopy.toeplitz import (
@@ -814,6 +815,46 @@ def test_a_stalled_krylov_attempt_gives_up_after_four_blocks(monkeypatch):
     assert len(products) <= 4
     assert spec.method == "dense"
     assert _same_bytes(spec, _dense_spectrum(window))
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a solve ran")
+
+
+def test_a_non_symmetric_block_past_max_l_is_refused_before_any_solve(monkeypatch):
+    # its ln|det T| would take an LU of L^2 entries: 32 GiB at L = 65536
+    L = toeplitz.MAX_L + 1
+    table = coefficient_table(ISING, L)
+    for name in ("slogdet", "eigvalsh", "svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, _unreachable)
+    monkeypatch.setattr(toeplitz, "_krylov_mu", _unreachable)
+    with pytest.raises(ModelError, match="non-symmetric"):
+        table_spectrum(table, L)
+
+
+def test_an_uncertified_symmetric_block_past_max_l_is_refused(monkeypatch):
+    # the stall window of the test above: the Krylov route gives up, and no dense route follows
+    L = toeplitz.MAX_L + 1
+    window = np.zeros(2 * L - 1)
+    window[L - 2:L + 1] = (0.05, 0.9, 0.05)
+    products = []
+    irfft = np.fft.irfft
+
+    def counted(*args, **kwargs):
+        products.append(1)
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _unreachable)      # the dense route's solve
+    with pytest.raises(DecompositionError, match=f"L={L}.*{toeplitz.MAX_L}"):
+        toeplitz._window_spectrum(window)
+    assert len(products) <= 4
+
+
+def test_a_certified_symmetric_block_past_max_l_takes_the_krylov_route():
+    L = 2 * toeplitz.MAX_L
+    spec = table_spectrum(coefficient_table(XX2, L), L)
+    assert spec.method == "krylov" and spec.L == L
 
 
 @pytest.mark.parametrize("L", [16384, 65536])
